@@ -11,6 +11,7 @@
 
 namespace qmg {
 
+using detail::DenseBlock;
 using detail::DenseStencil;
 using detail::HalfStencil;
 
@@ -133,7 +134,7 @@ void DistributedCoarseOp<T>::with_stencil(int rank, Fn&& fn) const {
                              n_});
       break;
     case CoarseStorage::Half16:
-      fn(HalfStencil{&half_[rank], n_});
+      fn(HalfStencil{&half_[rank]});
       break;
     default:
       fn(DenseStencil<T>{links_[rank].data(), diag_[rank].data(), n_});
@@ -146,21 +147,16 @@ void DistributedCoarseOp<T>::site_row_update(
     const St& st, int rank, const DistributedSpinor<T>& in,
     ColorSpinorField<T>& dst_field, long site,
     const CoarseKernelConfig& config) const {
-  using TM = typename St::value_type;
+  using Blk = typename St::Block;
   const Complex<T>* xin[9];
   xin[0] = in.local(rank).site_data(site);
   for (int mu = 0; mu < kNDim; ++mu) {
     xin[1 + 2 * mu] = in.site_or_ghost(rank, dec_->neighbor_fwd(site, mu));
     xin[2 + 2 * mu] = in.site_or_ghost(rank, dec_->neighbor_bwd(site, mu));
   }
-  Complex<T>* dst = dst_field.site_data(site);
-  Complex<TM> scratch[9 * St::kScratchRow];
-  for (int row = 0; row < n_; ++row) {
-    const Complex<TM>* rows[9];
-    for (int m = 0; m < 9; ++m)
-      rows[m] = st.stencil_row(site, m, row, scratch + m * St::kScratchRow);
-    dst[row] = coarse_row_span<T, TM, T>(rows, xin, n_, config);
-  }
+  Blk blks[9];
+  for (int m = 0; m < 9; ++m) blks[m] = st.block(site, m);
+  coarse_rows<T>(config, blks, xin, n_, 0, n_, dst_field.site_data(site));
 }
 
 template <typename T>
@@ -169,13 +165,14 @@ void DistributedCoarseOp<T>::site_rows_update_rhs(
     const St& st, int rank, const DistributedBlockSpinor<T>& in,
     BlockSpinor<T>& dst_field, long site, long k0, long k1,
     const CoarseKernelConfig& config) const {
-  // Mirrors CoarseDirac::apply_block_with_config: one stencil-row resolve
-  // per (site, row) tile, rhs streamed unit-stride by coarse_row_mrhs_span
-  // (per-rhs partial-sum shape identical to coarse_row_span, so per-rhs
-  // results are bit-identical to the single-rhs distributed apply at the
-  // same precision axes).  Local and ghost site blocks share the
-  // rhs-innermost layout, so the same pointer arithmetic serves both.
-  using TM = typename St::value_type;
+  // Mirrors CoarseDirac::apply_block_with_config's scalar tile walk: each
+  // stencil element read once per (site, row, tile), rhs streamed
+  // unit-stride by coarse_row_mrhs_span (per-rhs partial-sum shape
+  // identical to the row-tile kernel's, so per-rhs results are
+  // bit-identical to the single-rhs distributed apply at the same
+  // precision axes).  Local and ghost site blocks share the rhs-innermost
+  // layout, so the same pointer arithmetic serves both.
+  using Blk = typename St::Block;
   const int nrhs = in.nrhs();
   long nbr[9];
   nbr[0] = site;
@@ -183,6 +180,8 @@ void DistributedCoarseOp<T>::site_rows_update_rhs(
     nbr[1 + 2 * mu] = dec_->neighbor_fwd(site, mu);
     nbr[2 + 2 * mu] = dec_->neighbor_bwd(site, mu);
   }
+  Blk blks[9];
+  for (int m = 0; m < 9; ++m) blks[m] = st.block(site, m);
   for (long t0 = k0; t0 < k1; t0 += kCoarseRowMaxTile) {
     const int tile =
         static_cast<int>(std::min<long>(kCoarseRowMaxTile, k1 - t0));
@@ -190,14 +189,9 @@ void DistributedCoarseOp<T>::site_rows_update_rhs(
     for (int m = 0; m < 9; ++m)
       xin[m] = in.site_or_ghost(rank, nbr[m]) + t0;
     Complex<T>* dst = dst_field.site_data(site) + t0;
-    Complex<TM> scratch[9 * St::kScratchRow];
-    for (int row = 0; row < n_; ++row) {
-      const Complex<TM>* rows[9];
-      for (int m = 0; m < 9; ++m)
-        rows[m] = st.stencil_row(site, m, row, scratch + m * St::kScratchRow);
-      coarse_row_mrhs_span<T, TM, T>(rows, xin, nrhs, n_, config, tile,
-                                     dst + static_cast<long>(row) * nrhs);
-    }
+    for (int row = 0; row < n_; ++row)
+      coarse_row_mrhs_span<T>(blks, row, xin, nrhs, n_, config, tile,
+                              dst + static_cast<long>(row) * nrhs);
   }
 }
 
@@ -289,13 +283,15 @@ void DistributedCoarseOp<T>::site_hop_rhs(const St& st, int rank,
                                           long site, int k) const {
   // Per-(site, rhs) hopping row sums in exactly the order of
   // CoarseDirac::apply_hopping_parity_block_st: gather the 8 neighbor
-  // vectors of rhs k, then for each output row accumulate the 8 link-row
-  // dot products m-major.  Neighbor gathers read local or ghost blocks
-  // through the shared rhs-innermost layout.
-  using TM = typename St::value_type;
+  // vectors of rhs k, then run the row-tile kernel's RowChain over the 8
+  // links.  Neighbor gathers read local or ghost blocks through the shared
+  // rhs-innermost layout.
+  using Blk = typename St::Block;
   const int n = n_;
   const int nrhs = in.nrhs();
   Complex<T> xbuf[8 * CoarseDirac<T>::kMaxBlockDim];
+  const Complex<T>* xin[8];
+  Blk blks[8];
   for (int mu = 0; mu < kNDim; ++mu) {
     const long nf = dec_->neighbor_fwd(site, mu);
     const long nb = dec_->neighbor_bwd(site, mu);
@@ -306,17 +302,14 @@ void DistributedCoarseOp<T>::site_hop_rhs(const St& st, int rank,
       xbuf[(2 * mu + 1) * n + d] = pb[static_cast<size_t>(d) * nrhs];
     }
   }
-  Complex<T>* dst = dst_field.site_data(site) + k;
-  Complex<TM> scratch[St::kScratchRow];
-  for (int r = 0; r < n; ++r) {
-    Complex<T> acc{};
-    for (int m = 0; m < 8; ++m) {
-      const Complex<TM>* row = st.link_row(site, m, r, scratch);
-      const Complex<T>* x = xbuf + m * n;
-      for (int c = 0; c < n; ++c) acc += Complex<T>(row[c]) * x[c];
-    }
-    dst[static_cast<size_t>(r) * nrhs] = acc;
+  for (int l = 0; l < 8; ++l) {
+    xin[l] = xbuf + l * n;
+    blks[l] = st.link(site, l);
   }
+  Complex<T> acc[CoarseDirac<T>::kMaxBlockDim];
+  coarse_rows<T>(RowChain{8}, blks, xin, n, 0, n, acc);
+  Complex<T>* dst = dst_field.site_data(site) + k;
+  for (int r = 0; r < n; ++r) dst[static_cast<size_t>(r) * nrhs] = acc[r];
 }
 
 template <typename T>
@@ -356,39 +349,27 @@ void DistributedCoarseOp<T>::apply_hopping_parity_block(
 namespace {
 
 /// Shared batched distributed diagonal kernel: out = D in per (site, rhs)
-/// over the given per-rank site lists, with row r of D(rank, site) supplied
-/// by `row_of` — exactly the arithmetic of coarse_op.cpp's
+/// over one rank's site list, with D(site) the block handle
+/// `block_of(site)` — exactly the arithmetic of coarse_op.cpp's
 /// block_diag_kernel, on full-volume local blocks.
-template <typename T, typename TM, typename RowOf>
-void dist_parity_diag_kernel(
-    const DomainDecomposition& dec,
-    const std::vector<std::array<std::vector<long>, 2>>& lists, int parity,
-    BlockSpinor<T>* out_locals_base,
-    const BlockSpinor<T>* in_locals_base, int n,
-    const LaunchPolicy& policy, RowOf&& row_of) {
-  for (int r = 0; r < dec.nranks(); ++r) {
-    BlockSpinor<T>& out_local = out_locals_base[r];
-    const BlockSpinor<T>& in_local = in_locals_base[r];
-    const int nrhs = in_local.nrhs();
-    parallel_for_2d_indices_tiled(
-        lists[static_cast<size_t>(r)][static_cast<size_t>(parity)], nrhs,
-        policy, [&, r](long site, long k0, long k1) {
-          for (long kk = k0; kk < k1; ++kk) {
-            const int k = static_cast<int>(kk);
-            Complex<T> src[CoarseDirac<T>::kMaxBlockDim];
-            Complex<T> dst[CoarseDirac<T>::kMaxBlockDim];
-            Complex<TM> scratch[CoarseDirac<T>::kMaxBlockDim];
-            in_local.gather_site_rhs(site, k, src);
-            for (int row = 0; row < n; ++row) {
-              Complex<T> acc{};
-              const Complex<TM>* rp = row_of(r, site, row, scratch);
-              for (int c = 0; c < n; ++c) acc += Complex<T>(rp[c]) * src[c];
-              dst[row] = acc;
-            }
-            out_local.scatter_site_rhs(site, k, dst);
-          }
-        });
-  }
+template <typename T, typename BlockOf>
+void dist_parity_diag_kernel(const std::vector<long>& sites,
+                             BlockSpinor<T>& out_local,
+                             const BlockSpinor<T>& in_local, int n,
+                             const LaunchPolicy& policy, BlockOf&& block_of) {
+  parallel_for_2d_indices_tiled(
+      sites, in_local.nrhs(), policy, [&](long site, long k0, long k1) {
+        const auto blk = block_of(site);
+        for (long kk = k0; kk < k1; ++kk) {
+          const int k = static_cast<int>(kk);
+          Complex<T> src[CoarseDirac<T>::kMaxBlockDim];
+          Complex<T> dst[CoarseDirac<T>::kMaxBlockDim];
+          in_local.gather_site_rhs(site, k, src);
+          const Complex<T>* xin = src;
+          coarse_rows<T>(RowChain{1}, &blk, &xin, n, 0, n, dst);
+          out_local.scatter_site_rhs(site, k, dst);
+        }
+      });
 }
 
 }  // namespace
@@ -399,33 +380,13 @@ void DistributedCoarseOp<T>::apply_diag_block(
     int parity, const LaunchPolicy& policy) const {
   if (out.nrhs() != in.nrhs() || n_ > CoarseDirac<T>::kMaxBlockDim)
     throw std::invalid_argument("dist apply_diag_block: bad shape");
-  const size_t nn = static_cast<size_t>(n_) * n_;
-  switch (storage_) {
-    case CoarseStorage::Single:
-      dist_parity_diag_kernel<T, float>(
-          *dec_, parity_all_, parity, &out.local(0), &in.local(0), n_, policy,
-          [&](int r, long site, int row, Complex<float>*) {
-            return diag_lo_[r].data() + static_cast<size_t>(site) * nn +
-                   static_cast<size_t>(row) * n_;
-          });
-      break;
-    case CoarseStorage::Half16:
-      dist_parity_diag_kernel<T, float>(
-          *dec_, parity_all_, parity, &out.local(0), &in.local(0), n_, policy,
-          [&](int r, long site, int row, Complex<float>* scratch) {
-            half_[r].load_row(site, HalfCoarseLinks::kDiagBlock, row,
-                              scratch);
-            return static_cast<const Complex<float>*>(scratch);
-          });
-      break;
-    default:
-      dist_parity_diag_kernel<T, T>(
-          *dec_, parity_all_, parity, &out.local(0), &in.local(0), n_, policy,
-          [&](int r, long site, int row, Complex<T>*) {
-            return diag_[r].data() + static_cast<size_t>(site) * nn +
-                   static_cast<size_t>(row) * n_;
-          });
-  }
+  for (int r = 0; r < dec_->nranks(); ++r)
+    with_stencil(r, [&](const auto& st) {
+      dist_parity_diag_kernel(
+          parity_all_[static_cast<size_t>(r)][static_cast<size_t>(parity)],
+          out.local(r), in.local(r), n_, policy,
+          [&](long site) { return st.diag_block(site); });
+    });
 }
 
 template <typename T>
@@ -439,20 +400,23 @@ void DistributedCoarseOp<T>::apply_diag_inverse_block(
   if (out.nrhs() != in.nrhs() || n_ > CoarseDirac<T>::kMaxBlockDim)
     throw std::invalid_argument("dist apply_diag_inverse_block: bad shape");
   const size_t nn = static_cast<size_t>(n_) * n_;
-  if (storage_ == CoarseStorage::Native) {
-    dist_parity_diag_kernel<T, T>(
-        *dec_, parity_all_, parity, &out.local(0), &in.local(0), n_, policy,
-        [&](int r, long site, int row, Complex<T>*) {
-          return diag_inv_[r].data() + static_cast<size_t>(site) * nn +
-                 static_cast<size_t>(row) * n_;
-        });
-  } else {
-    dist_parity_diag_kernel<T, float>(
-        *dec_, parity_all_, parity, &out.local(0), &in.local(0), n_, policy,
-        [&](int r, long site, int row, Complex<float>*) {
-          return diag_inv_lo_[r].data() + static_cast<size_t>(site) * nn +
-                 static_cast<size_t>(row) * n_;
-        });
+  for (int r = 0; r < dec_->nranks(); ++r) {
+    const std::vector<long>& sites =
+        parity_all_[static_cast<size_t>(r)][static_cast<size_t>(parity)];
+    if (storage_ == CoarseStorage::Native)
+      dist_parity_diag_kernel(sites, out.local(r), in.local(r), n_, policy,
+                              [&](long site) {
+                                return DenseBlock<T>{
+                                    diag_inv_[r].data() +
+                                    static_cast<size_t>(site) * nn};
+                              });
+    else
+      dist_parity_diag_kernel(sites, out.local(r), in.local(r), n_, policy,
+                              [&](long site) {
+                                return DenseBlock<float>{
+                                    diag_inv_lo_[r].data() +
+                                    static_cast<size_t>(site) * nn};
+                              });
   }
 }
 

@@ -16,16 +16,16 @@
 // format the global operator carries, including the 16-bit fixed-point
 // Half16 format — are split over ranks once at construction by raw copy
 // (quantized components and scales byte-identical to the global ones, so
-// per-rank dequantized rows are bit-identical too).  Ghost spinor data
+// per-rank dequantized elements are bit-identical too).  Ghost spinor data
 // travels at the field's wire precision (WirePrecision on the distributed
 // spinor), independent of the link storage.
 //
 // The per-row arithmetic is mg/coarse_row.h reached through the shared
-// stencil row views of mg/coarse_stencil.h — identical to the
-// single-process operator for the same kernel configuration, so distributed
-// applies are bit-identical to global ones (asserted by tests), and the
-// batched apply uses coarse_row_mrhs_span, whose per-rhs partial-sum shape
-// is identical to coarse_row_span's (the PR-2 equivalence), so batched
+// column-major block views of mg/coarse_stencil.h — the same row-tile
+// kernel as the single-process operator for the same kernel configuration,
+// so distributed applies are bit-identical to global ones (asserted by
+// tests), and the batched apply uses coarse_row_mrhs_span, whose per-rhs
+// partial-sum shape is identical to the row-tile kernel's, so batched
 // distributed applies are bit-identical per rhs to single-rhs distributed
 // ones.
 //

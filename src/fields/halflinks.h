@@ -9,9 +9,12 @@
 // double-precision operator while the kernels accumulate in full precision
 // (mg/coarse_row.h's storage-vs-accumulation split).
 //
-// Rows are dequantized on the fly into a per-item scratch buffer
-// (CoarseDirac's Half16 apply path), so the hot loops still see contiguous
-// Complex<float> rows; only the memory traffic shrinks.
+// A block's elements are stored in the order store_block receives them —
+// the coarse operator's column-major layout, element (r, c) at flat index
+// c*N + r — so a column is N contiguous int16 pairs.  The apply kernels
+// dequantize elements on the fly through Block (a whole row tile of one
+// column per lane load), so no scratch copy of the stencil exists and only
+// the memory traffic shrinks.
 
 #include <algorithm>
 #include <cmath>
@@ -20,6 +23,7 @@
 
 #include "fields/halffield.h"
 #include "linalg/complex.h"
+#include "linalg/simd.h"
 
 namespace qmg {
 
@@ -79,26 +83,52 @@ class HalfCoarseLinks {
     }
   }
 
-  /// Dequantize row r of a block into `out` (n_ complex values).
-  void load_row(long site, int blk, int r, Complex<float>* out) const {
+  /// Read handle on one quantized block: element k (flat index, the
+  /// layout store_block received) dequantizes to
+  /// Complex<float>(q_re * scale, q_im * scale) — one expression for the
+  /// scalar and the lane loads, so every consumer sees the same floats.
+  struct Block {
+    const std::int16_t* q;
+    float scale;  // block max / 32767
+
+    Complex<float> value(long k) const {
+      return Complex<float>(q[2 * k] * scale, q[2 * k + 1] * scale);
+    }
+    /// Element k promoted to the accumulation type.
+    template <typename Tacc>
+    Complex<Tacc> elem(long k) const {
+      return Complex<Tacc>(value(k));
+    }
+    /// Elements k .. k+W-1 as one lane pack (lane j = elem(k + j)).
+    template <typename Tacc, int W>
+    simd::cpack<Tacc, W> pack(long k) const {
+      simd::cpack<Tacc, W> r;
+      for (int j = 0; j < W; ++j) {
+        const Complex<float> e = value(k + j);
+        r.re.v[j] = static_cast<Tacc>(e.re);
+        r.im.v[j] = static_cast<Tacc>(e.im);
+      }
+      return r;
+    }
+  };
+
+  Block block(long site, int blk) const {
     const size_t b = block_index(site, blk);
-    const float scale = scales_[b] / 32767.0f;
-    const std::int16_t* src =
-        comps_.data() + (b * n_ + r) * static_cast<size_t>(n_) * 2;
-    for (int c = 0; c < n_; ++c)
-      out[c] = Complex<float>(src[2 * c] * scale, src[2 * c + 1] * scale);
+    return {comps_.data() + b * static_cast<size_t>(n_) * n_ * 2,
+            scales_[b] / 32767.0f};
   }
 
-  /// Dequantize a whole block (n_ x n_ values, row-major).
+  /// Dequantize a whole block (n_ x n_ values, in store_block's order).
   void load_block(long site, int blk, Complex<float>* out) const {
-    for (int r = 0; r < n_; ++r)
-      load_row(site, blk, r, out + static_cast<size_t>(r) * n_);
+    const Block b = block(site, blk);
+    const long nn = static_cast<long>(n_) * n_;
+    for (long k = 0; k < nn; ++k) out[k] = b.value(k);
   }
 
   /// Raw copy of one site's nine quantized blocks and scales from another
   /// HalfCoarseLinks of the same block dimension — the rank-split path of
   /// DistributedCoarseOp.  No dequantize/requantize round trip, so every
-  /// per-rank row dequantizes bit-identically to the global one.
+  /// per-rank element dequantizes bit-identically to the global one.
   void copy_site(long dst_site, const HalfCoarseLinks& src, long src_site) {
     const size_t nn2 = static_cast<size_t>(n_) * n_ * 2;
     for (int blk = 0; blk < kBlocksPerSite; ++blk) {

@@ -177,6 +177,22 @@ inline cpack<T, W> operator*(const Complex<T>& a, const cpack<T, W>& x) {
   return r;
 }
 
+/// Pack times broadcast-complex: lane j = a_j * x with operator*='s
+/// expression AND operand order (re = a.re*x.re - a.im*x.im, im =
+/// a.re*x.im + a.im*x.re).  The row-lane coarse kernels use it for
+/// `stencil element (per-lane row) * vector element`, so every lane
+/// evaluates the scalar `Complex(row[c]) * x[c]` term for term, operand
+/// order included.
+template <typename T, int W>
+inline cpack<T, W> operator*(const cpack<T, W>& a, const Complex<T>& x) {
+  cpack<T, W> r;
+  for (int j = 0; j < W; ++j) {
+    r.re.v[j] = a.re.v[j] * x.re - a.im.v[j] * x.im;
+    r.im.v[j] = a.re.v[j] * x.im + a.im.v[j] * x.re;
+  }
+  return r;
+}
+
 /// Lane-wise complex product (per-lane coefficients, e.g. block_caxpy's
 /// a[k]): lane j = a_j * x_j, same expression tree as operator*=.
 template <typename T, int W>

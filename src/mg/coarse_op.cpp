@@ -1,5 +1,6 @@
 #include "mg/coarse_op.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -13,8 +14,6 @@
 
 namespace qmg {
 
-using detail::DenseStencil;
-using detail::HalfStencil;
 using detail::sim_precision;
 
 template <typename T>
@@ -156,46 +155,36 @@ void CoarseDirac<T>::apply_with_config_st(Field& out, const Field& in,
                                           const LaunchPolicy& policy,
                                           const Stencil& st) const {
   assert(in.subset() == Subset::Full);
-  using TM = typename Stencil::value_type;
+  using Blk = typename Stencil::Block;
   const long v = geom_->volume();
   const int n = n_;
-  // Per-item input-site pointers (Listing 2's indexing arithmetic).
-  auto site_xin = [&](long site, const Complex<T>** xin) {
+  // Output rows [r0, r1) of one site: Listing 2's indexing arithmetic, then
+  // the row-tile kernel over the site's nine stencil blocks.
+  auto site_rows = [&](long site, int r0, int r1) {
+    const Complex<T>* xin[9];
     xin[0] = in.site_data(site);
     for (int mu = 0; mu < kNDim; ++mu) {
       xin[1 + 2 * mu] = in.site_data(geom_->neighbor_fwd(site, mu));
       xin[2 + 2 * mu] = in.site_data(geom_->neighbor_bwd(site, mu));
     }
-  };
-  auto row_value = [&](long site, int r, const Complex<T>* const xin[9],
-                       Complex<TM>* scratch) {
-    const Complex<TM>* rows[9];
-    for (int m = 0; m < 9; ++m)
-      rows[m] =
-          st.stencil_row(site, m, r, scratch + m * Stencil::kScratchRow);
-    return coarse_row_span<T, TM, T>(rows, xin, n, config);
+    Blk blks[9];
+    for (int m = 0; m < 9; ++m) blks[m] = st.block(site, m);
+    coarse_rows<T>(config, blks, xin, n, r0, r1, out.site_data(site));
   };
   if (config.strategy >= Strategy::ColorSpin) {
-    // One dispatch item per (site, output row): the y thread dimension of
-    // Listing 3.  Each item redoes the site indexing, exactly like the
-    // fine-grained GPU threads (the Amdahl overhead of section 6.5).
-    parallel_for(v * n, policy, [&](long idx) {
-      const long site = idx / n;
-      const int r = static_cast<int>(idx % n);
-      const Complex<T>* xin[9];
-      site_xin(site, xin);
-      Complex<TM> scratch[9 * Stencil::kScratchRow];
-      out.site_data(site)[r] = row_value(site, r, xin, scratch);
+    // One dispatch item per (site, row tile): the y thread dimension of
+    // Listing 3, the tile's rows on SIMD lanes.  Each item redoes the site
+    // indexing, exactly like the fine-grained GPU threads (the Amdahl
+    // overhead of section 6.5).
+    const int tiles = (n + kCoarseRowTile - 1) / kCoarseRowTile;
+    parallel_for(v * tiles, policy, [&](long idx) {
+      const long site = idx / tiles;
+      const int r0 = static_cast<int>(idx % tiles) * kCoarseRowTile;
+      site_rows(site, r0, std::min(n, r0 + kCoarseRowTile));
     });
   } else {
-    // Baseline: one dispatch item per site, rows serial within the item.
-    parallel_for(v, policy, [&](long site) {
-      const Complex<T>* xin[9];
-      site_xin(site, xin);
-      Complex<T>* dst = out.site_data(site);
-      Complex<TM> scratch[9 * Stencil::kScratchRow];
-      for (int r = 0; r < n; ++r) dst[r] = row_value(site, r, xin, scratch);
-    });
+    // Baseline: one dispatch item per site, row tiles serial within it.
+    parallel_for(v, policy, [&](long site) { site_rows(site, 0, n); });
   }
   if (policy.backend == Backend::SimtModel)
     SimtStats::instance().record_work(
@@ -206,19 +195,9 @@ template <typename T>
 void CoarseDirac<T>::apply_with_config(
     Field& out, const Field& in, const CoarseKernelConfig& config,
     const LaunchPolicy& policy) const {
-  switch (storage_) {
-    case CoarseStorage::Single:
-      apply_with_config_st(
-          out, in, config, policy,
-          DenseStencil<float>{links_lo_.data(), diag_lo_.data(), n_});
-      break;
-    case CoarseStorage::Half16:
-      apply_with_config_st(out, in, config, policy, HalfStencil{&half_, n_});
-      break;
-    default:
-      apply_with_config_st(out, in, config, policy,
-                           DenseStencil<T>{links_.data(), diag_.data(), n_});
-  }
+  with_stencil([&](const auto& st) {
+    apply_with_config_st(out, in, config, policy, st);
+  });
 }
 
 template <typename T>
@@ -256,43 +235,38 @@ void CoarseDirac<T>::apply_dagger(Field& out, const Field& in) const {
   apply_gamma5(out, out);
 }
 
-// Known trade-off: the batched hopping/diag kernels dispatch one item per
-// (site, rhs) — matching the native-storage suite's bit-identity contract —
-// so under Half16 each stencil row is dequantized once per rhs rather than
-// once per site tile (the main batched apply, apply_block_with_config_st,
-// does amortize it).  Batched-Schur-heavy configurations that care should
-// use Single storage; Half16's payoff is the full coarse apply.
+// The batched hopping/diag kernels dispatch one item per (site, rhs) —
+// matching the native-storage suite's bit-identity contract — and run the
+// row-tile kernel on the gathered rhs, so each stencil block is read once
+// per rhs (under Half16 also dequantized once per rhs).  The main batched
+// apply (apply_block_with_config_st) amortizes the stencil over the rhs
+// tile instead.
 template <typename T>
 template <typename Stencil>
 void CoarseDirac<T>::apply_hopping_parity_block_st(BlockField& out,
                                                    const BlockField& in,
                                                    int out_parity,
                                                    const Stencil& st) const {
-  using TM = typename Stencil::value_type;
+  using Blk = typename Stencil::Block;
   const long hv = geom_->half_volume();
   const int n = n_;
   parallel_for_2d(hv, in.nrhs(), default_policy(), [&](long cb, long kk) {
     const int k = static_cast<int>(kk);
     const long site = geom_->full_index(out_parity, cb);
-    long nbr_cb[8];
     Complex<T> xbuf[8 * kMaxBlockDim];
-    for (int mu = 0; mu < kNDim; ++mu) {
-      nbr_cb[2 * mu] = geom_->cb_index(geom_->neighbor_fwd(site, mu));
-      in.gather_site_rhs(nbr_cb[2 * mu], k, xbuf + (2 * mu) * n);
-      nbr_cb[2 * mu + 1] = geom_->cb_index(geom_->neighbor_bwd(site, mu));
-      in.gather_site_rhs(nbr_cb[2 * mu + 1], k, xbuf + (2 * mu + 1) * n);
-    }
-    Complex<T> dst[kMaxBlockDim];
-    Complex<TM> scratch[Stencil::kScratchRow];
-    for (int r = 0; r < n; ++r) {
-      Complex<T> acc{};
-      for (int m = 0; m < 8; ++m) {
-        const Complex<TM>* row = st.link_row(site, m, r, scratch);
-        const Complex<T>* x = xbuf + m * n;
-        for (int c = 0; c < n; ++c) acc += Complex<T>(row[c]) * x[c];
+    const Complex<T>* xin[8];
+    Blk blks[8];
+    for (int mu = 0; mu < kNDim; ++mu)
+      for (int dir = 0; dir < 2; ++dir) {
+        const int l = 2 * mu + dir;
+        const long nbr = dir == 0 ? geom_->neighbor_fwd(site, mu)
+                                  : geom_->neighbor_bwd(site, mu);
+        in.gather_site_rhs(geom_->cb_index(nbr), k, xbuf + l * n);
+        xin[l] = xbuf + l * n;
+        blks[l] = st.link(site, l);
       }
-      dst[r] = acc;
-    }
+    Complex<T> dst[kMaxBlockDim];
+    coarse_rows<T>(RowChain{8}, blks, xin, n, 0, n, dst);
     out.scatter_site_rhs(cb, k, dst);
   });
 }
@@ -305,66 +279,44 @@ void CoarseDirac<T>::apply_hopping_parity_block(BlockField& out,
     throw std::invalid_argument("hopping_parity_block: rhs count mismatch");
   if (n_ > kMaxBlockDim)
     throw std::invalid_argument("coarse block kernel: N exceeds buffer cap");
-  switch (storage_) {
-    case CoarseStorage::Single:
-      apply_hopping_parity_block_st(
-          out, in, out_parity,
-          DenseStencil<float>{links_lo_.data(), diag_lo_.data(), n_});
-      break;
-    case CoarseStorage::Half16:
-      apply_hopping_parity_block_st(out, in, out_parity,
-                                    HalfStencil{&half_, n_});
-      break;
-    default:
-      apply_hopping_parity_block_st(
-          out, in, out_parity,
-          DenseStencil<T>{links_.data(), diag_.data(), n_});
-  }
+  with_stencil([&](const auto& st) {
+    apply_hopping_parity_block_st(out, in, out_parity, st);
+  });
 }
 
 namespace {
 
 /// Shared batched dense diagonal kernel: out = D in per (site, rhs), with
-/// row r of D(site) supplied by `row_of(site, r, scratch)` (diagonal or
-/// inverse-diagonal rows in any storage format); accumulation in T.
-template <typename T, typename TM, typename RowOf>
+/// D(site) the block handle `block_of(site)` (diagonal or inverse-diagonal
+/// in any storage format); accumulation in T along the RowChain tree.
+template <typename T, typename BlockOf>
 void block_diag_kernel(BlockSpinor<T>& out, const BlockSpinor<T>& in, int n,
                        int parity, const LatticeGeometry& geom,
-                       RowOf&& row_of) {
+                       BlockOf&& block_of) {
   parallel_for_2d(in.nsites(), in.nrhs(), default_policy(),
                   [&](long i, long kk) {
     const int k = static_cast<int>(kk);
     const long site = parity >= 0 ? geom.full_index(parity, i) : i;
     Complex<T> src[CoarseDirac<T>::kMaxBlockDim];
     Complex<T> dst[CoarseDirac<T>::kMaxBlockDim];
-    Complex<TM> scratch[CoarseDirac<T>::kMaxBlockDim];
     in.gather_site_rhs(i, k, src);
-    for (int r = 0; r < n; ++r) {
-      Complex<T> acc{};
-      const Complex<TM>* row = row_of(site, r, scratch);
-      for (int c = 0; c < n; ++c) acc += Complex<T>(row[c]) * src[c];
-      dst[r] = acc;
-    }
+    const auto blk = block_of(site);
+    const Complex<T>* xin = src;
+    coarse_rows<T>(RowChain{1}, &blk, &xin, n, 0, n, dst);
     out.scatter_site_rhs(i, k, dst);
   });
 }
 
 /// Single-rhs analog of block_diag_kernel.
-template <typename T, typename TM, typename RowOf>
+template <typename T, typename BlockOf>
 void diag_kernel(ColorSpinorField<T>& out, const ColorSpinorField<T>& in,
                  int n, int parity, const LatticeGeometry& geom,
-                 RowOf&& row_of) {
+                 BlockOf&& block_of) {
   parallel_for(in.nsites(), [&](long i) {
     const long site = parity >= 0 ? geom.full_index(parity, i) : i;
-    const Complex<T>* src = in.site_data(i);
-    Complex<T>* dst = out.site_data(i);
-    Complex<TM> scratch[CoarseDirac<T>::kMaxBlockDim];
-    for (int r = 0; r < n; ++r) {
-      Complex<T> acc{};
-      const Complex<TM>* row = row_of(site, r, scratch);
-      for (int c = 0; c < n; ++c) acc += Complex<T>(row[c]) * src[c];
-      dst[r] = acc;
-    }
+    const auto blk = block_of(site);
+    const Complex<T>* xin = in.site_data(i);
+    coarse_rows<T>(RowChain{1}, &blk, &xin, n, 0, n, out.site_data(i));
   });
 }
 
@@ -375,30 +327,10 @@ void CoarseDirac<T>::apply_diag_block(BlockField& out, const BlockField& in,
                                       int parity) const {
   if (out.nrhs() != in.nrhs() || n_ > kMaxBlockDim)
     throw std::invalid_argument("coarse apply_diag_block: bad shape");
-  const int n = n_;
-  switch (storage_) {
-    case CoarseStorage::Single:
-      block_diag_kernel<T, float>(
-          out, in, n, parity, *geom_,
-          [this](long site, int r, Complex<float>*) {
-            return diag_lo_data(site) + static_cast<size_t>(r) * n_;
-          });
-      break;
-    case CoarseStorage::Half16:
-      block_diag_kernel<T, float>(
-          out, in, n, parity, *geom_,
-          [this](long site, int r, Complex<float>* scratch) {
-            half_.load_row(site, HalfCoarseLinks::kDiagBlock, r, scratch);
-            return static_cast<const Complex<float>*>(scratch);
-          });
-      break;
-    default:
-      block_diag_kernel<T, T>(out, in, n, parity, *geom_,
-                              [this](long site, int r, Complex<T>*) {
-                                return diag_data(site) +
-                                       static_cast<size_t>(r) * n_;
-                              });
-  }
+  with_stencil([&](const auto& st) {
+    block_diag_kernel(out, in, n_, parity, *geom_,
+                      [&](long site) { return st.diag_block(site); });
+  });
 }
 
 template <typename T>
@@ -408,19 +340,9 @@ void CoarseDirac<T>::apply_diag_inverse_block(BlockField& out,
   assert(has_diag_inverse());
   if (out.nrhs() != in.nrhs() || n_ > kMaxBlockDim)
     throw std::invalid_argument("coarse apply_diag_inverse_block: bad shape");
-  if (storage_ == CoarseStorage::Native) {
-    block_diag_kernel<T, T>(out, in, n_, parity, *geom_,
-                            [this](long site, int r, Complex<T>*) {
-                              return diag_inv_data(site) +
-                                     static_cast<size_t>(r) * n_;
-                            });
-  } else {
-    block_diag_kernel<T, float>(
-        out, in, n_, parity, *geom_,
-        [this](long site, int r, Complex<float>*) {
-          return diag_inv_lo_data(site) + static_cast<size_t>(r) * n_;
-        });
-  }
+  with_diag_inverse([&](const auto& block_of) {
+    block_diag_kernel(out, in, n_, parity, *geom_, block_of);
+  });
 }
 
 template <typename T>
@@ -428,28 +350,21 @@ template <typename Stencil>
 void CoarseDirac<T>::apply_hopping_parity_st(Field& out, const Field& in,
                                              int out_parity,
                                              const Stencil& st) const {
-  using TM = typename Stencil::value_type;
+  using Blk = typename Stencil::Block;
   const long hv = geom_->half_volume();
   const int n = n_;
   parallel_for(hv, [&](long cb) {
     const long site = geom_->full_index(out_parity, cb);
     const Complex<T>* xin[8];
+    Blk blks[8];
     for (int mu = 0; mu < kNDim; ++mu) {
       xin[2 * mu] =
           in.site_data(geom_->cb_index(geom_->neighbor_fwd(site, mu)));
       xin[2 * mu + 1] =
           in.site_data(geom_->cb_index(geom_->neighbor_bwd(site, mu)));
     }
-    Complex<T>* dst = out.site_data(cb);
-    Complex<TM> scratch[Stencil::kScratchRow];
-    for (int r = 0; r < n; ++r) {
-      Complex<T> acc{};
-      for (int m = 0; m < 8; ++m) {
-        const Complex<TM>* row = st.link_row(site, m, r, scratch);
-        for (int c = 0; c < n; ++c) acc += Complex<T>(row[c]) * xin[m][c];
-      }
-      dst[r] = acc;
-    }
+    for (int l = 0; l < 8; ++l) blks[l] = st.link(site, l);
+    coarse_rows<T>(RowChain{8}, blks, xin, n, 0, n, out.site_data(cb));
   });
 }
 
@@ -457,58 +372,29 @@ template <typename T>
 void CoarseDirac<T>::apply_hopping_parity(Field& out, const Field& in,
                                           int out_parity) const {
   assert(out.subset() == (out_parity ? Subset::Odd : Subset::Even));
-  switch (storage_) {
-    case CoarseStorage::Single:
-      apply_hopping_parity_st(
-          out, in, out_parity,
-          DenseStencil<float>{links_lo_.data(), diag_lo_.data(), n_});
-      break;
-    case CoarseStorage::Half16:
-      apply_hopping_parity_st(out, in, out_parity, HalfStencil{&half_, n_});
-      break;
-    default:
-      apply_hopping_parity_st(
-          out, in, out_parity,
-          DenseStencil<T>{links_.data(), diag_.data(), n_});
-  }
+  with_stencil([&](const auto& st) {
+    apply_hopping_parity_st(out, in, out_parity, st);
+  });
 }
 
 template <typename T>
 void CoarseDirac<T>::apply_diag(Field& out, const Field& in,
                                 int parity) const {
-  switch (storage_) {
-    case CoarseStorage::Single:
-      diag_kernel<T, float>(out, in, n_, parity, *geom_,
-                            [this](long site, int r, Complex<float>*) {
-                              return diag_lo_data(site) +
-                                     static_cast<size_t>(r) * n_;
-                            });
-      break;
-    case CoarseStorage::Half16:
-      diag_kernel<T, float>(
-          out, in, n_, parity, *geom_,
-          [this](long site, int r, Complex<float>* scratch) {
-            half_.load_row(site, HalfCoarseLinks::kDiagBlock, r, scratch);
-            return static_cast<const Complex<float>*>(scratch);
-          });
-      break;
-    default:
-      diag_kernel<T, T>(out, in, n_, parity, *geom_,
-                        [this](long site, int r, Complex<T>*) {
-                          return diag_data(site) +
-                                 static_cast<size_t>(r) * n_;
-                        });
-  }
+  with_stencil([&](const auto& st) {
+    diag_kernel(out, in, n_, parity, *geom_,
+                [&](long site) { return st.diag_block(site); });
+  });
 }
 
 template <typename T>
 void CoarseDirac<T>::compute_diag_inverse() {
   const long v = geom_->volume();
-  // The LU runs in T regardless of storage: gather the diagonal block from
-  // whatever format is active, invert in working precision, emit into the
-  // active format's inverse array (T for Native, float for compressed).
-  // Prefer computing the inverse BEFORE compress_storage (what Multigrid
-  // and build_coarse_operator do): on an already-compressed operator the
+  // The LU runs in T regardless of storage: read the diagonal block from
+  // whatever format is active into a row-major SmallMatrix, invert in
+  // working precision, emit column-major into the active format's inverse
+  // array (T for Native, float for compressed).  Prefer computing the
+  // inverse BEFORE compress_storage (what Multigrid and
+  // build_coarse_operator do): on an already-compressed operator the
   // native diagonal is gone, so the LU can only see the truncated — for
   // Half16, quantized — blocks, and the inverse amplifies that error by
   // the block's condition number.
@@ -517,39 +403,25 @@ void CoarseDirac<T>::compute_diag_inverse() {
     diag_inv_.assign(static_cast<size_t>(v) * n_ * n_, Complex<T>{});
   else
     diag_inv_lo_.assign(static_cast<size_t>(v) * n_ * n_, Complex<float>{});
-  parallel_for(v, [&](long site) {
-    SmallMatrix<T> m(n_, n_);
-    if (storage_ == CoarseStorage::Half16) {
-      Complex<float> rowbuf[kMaxBlockDim];
-      for (int r = 0; r < n_; ++r) {
-        half_.load_row(site, HalfCoarseLinks::kDiagBlock, r, rowbuf);
-        for (int c = 0; c < n_; ++c) m(r, c) = Complex<T>(rowbuf[c]);
-      }
-    } else if (storage_ == CoarseStorage::Single) {
-      const Complex<float>* d = diag_lo_data(site);
+  with_stencil([&](const auto& st) {
+    parallel_for(v, [&](long site) {
+      const auto d = st.diag_block(site);
+      SmallMatrix<T> m(n_, n_);
       for (int r = 0; r < n_; ++r)
         for (int c = 0; c < n_; ++c)
-          m(r, c) = Complex<T>(d[static_cast<size_t>(r) * n_ + c]);
-    } else {
-      const Complex<T>* d = diag_data(site);
+          m(r, c) = d.template elem<T>(static_cast<long>(elem_offset(r, c)));
+      const LuFactor<T> lu(m);
+      const SmallMatrix<T> inv = lu.inverse();
+      const size_t base = static_cast<size_t>(site) * n_ * n_;
       for (int r = 0; r < n_; ++r)
-        for (int c = 0; c < n_; ++c)
-          m(r, c) = d[static_cast<size_t>(r) * n_ + c];
-    }
-    const LuFactor<T> lu(m);
-    const SmallMatrix<T> inv = lu.inverse();
-    if (native) {
-      Complex<T>* dst = diag_inv_.data() + static_cast<size_t>(site) * n_ * n_;
-      for (int r = 0; r < n_; ++r)
-        for (int c = 0; c < n_; ++c)
-          dst[static_cast<size_t>(r) * n_ + c] = inv(r, c);
-    } else {
-      Complex<float>* dst =
-          diag_inv_lo_.data() + static_cast<size_t>(site) * n_ * n_;
-      for (int r = 0; r < n_; ++r)
-        for (int c = 0; c < n_; ++c)
-          dst[static_cast<size_t>(r) * n_ + c] = Complex<float>(inv(r, c));
-    }
+        for (int c = 0; c < n_; ++c) {
+          if (native)
+            diag_inv_[base + elem_offset(r, c)] = inv(r, c);
+          else
+            diag_inv_lo_[base + elem_offset(r, c)] =
+                Complex<float>(inv(r, c));
+        }
+    });
   });
 }
 
@@ -557,19 +429,9 @@ template <typename T>
 void CoarseDirac<T>::apply_diag_inverse(Field& out, const Field& in,
                                         int parity) const {
   assert(has_diag_inverse());
-  if (storage_ == CoarseStorage::Native) {
-    diag_kernel<T, T>(out, in, n_, parity, *geom_,
-                      [this](long site, int r, Complex<T>*) {
-                        return diag_inv_data(site) +
-                               static_cast<size_t>(r) * n_;
-                      });
-  } else {
-    diag_kernel<T, float>(out, in, n_, parity, *geom_,
-                          [this](long site, int r, Complex<float>*) {
-                            return diag_inv_lo_data(site) +
-                                   static_cast<size_t>(r) * n_;
-                          });
-  }
+  with_diag_inverse([&](const auto& block_of) {
+    diag_kernel(out, in, n_, parity, *geom_, block_of);
+  });
 }
 
 // --- SchurCoarseOp ----------------------------------------------------------

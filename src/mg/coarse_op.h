@@ -65,10 +65,17 @@ class CoarseDirac : public LinearOperator<T> {
   /// Dense block dimension N = Nhat_s * Nhat_c = 2 * ncolor.
   int block_dim() const { return n_; }
 
-  // Raw NATIVE storage (row-major N x N Complex<T> blocks), written by the
+  // Raw NATIVE storage: N x N Complex<T> blocks, COLUMN-MAJOR — element
+  // (r, c) at block[elem_offset(r, c)] = block[c*N + r], the one layout of
+  // every dense block this operator holds (links, diagonal, diagonal
+  // inverse, and their compressed copies), so a column's consecutive rows
+  // load straight into the row lanes of mg/coarse_row.h.  Written by the
   // Galerkin builder and read by CoarseStencilView / convert_coarse /
   // DistributedCoarseOp.  Released by compress_storage(); callers that
   // need it must check has_native_storage().
+  size_t elem_offset(int r, int c) const {
+    return static_cast<size_t>(c) * n_ + static_cast<size_t>(r);
+  }
   Complex<T>* link_data(long site, int link) {
     return links_.data() + ((static_cast<size_t>(site) * kNLinks + link) *
                             n_) * n_;
@@ -82,6 +89,20 @@ class CoarseDirac : public LinearOperator<T> {
   }
   const Complex<T>* diag_data(long site) const {
     return diag_.data() + static_cast<size_t>(site) * n_ * n_;
+  }
+  /// Element (r, c) of link `link` / of the diagonal at `site` (native
+  /// storage) — the layout-independent way to address a block entry.
+  Complex<T>& link_elem(long site, int link, int r, int c) {
+    return link_data(site, link)[elem_offset(r, c)];
+  }
+  const Complex<T>& link_elem(long site, int link, int r, int c) const {
+    return link_data(site, link)[elem_offset(r, c)];
+  }
+  Complex<T>& diag_elem(long site, int r, int c) {
+    return diag_data(site)[elem_offset(r, c)];
+  }
+  const Complex<T>& diag_elem(long site, int r, int c) const {
+    return diag_data(site)[elem_offset(r, c)];
   }
 
   /// Truncate the links/diagonal (and diagonal inverse, when present) into
@@ -170,7 +191,9 @@ class CoarseDirac : public LinearOperator<T> {
   /// rhs axis.  Autotuned (kernel decomposition, backend and rhs-blocking
   /// jointly) per (volume, N, nrhs) shape unless a fixed config was set
   /// with set_kernel_config.  Per-rhs bit-identical to apply() at the same
-  /// kernel config.  Implemented in mg/mrhs.cpp.
+  /// kernel config.  A batch narrower than one native pack (a single rhs
+  /// always) runs rhs by rhs through the row-lane kernel instead, since
+  /// its rhs axis cannot fill the lanes.  Implemented in mg/mrhs.cpp.
   void apply_block(BlockField& out, const BlockField& in) const override;
 
   /// Batched apply with explicit kernel config and launch policy (the
@@ -202,8 +225,9 @@ class CoarseDirac : public LinearOperator<T> {
   /// (bypasses the autotuner); used by the strategy-equivalence tests and
   /// the Fig. 2 bench.  The strategy selects the dispatch index space:
   /// GridOnly launches one item per site, ColorSpin and finer launch one
-  /// item per (site, output row); the dir/dot splits shape the per-row
-  /// partial sums (mg/coarse_row.h).
+  /// item per (site, row tile) — the tile's output rows run on SIMD lanes
+  /// (kCoarseRowTile rows, mg/coarse_row.h); the dir/dot splits shape the
+  /// per-row partial sums.
   void apply_with_config(Field& out, const Field& in,
                          const CoarseKernelConfig& config,
                          const LaunchPolicy& policy = default_policy()) const;
@@ -270,9 +294,15 @@ class CoarseDirac : public LinearOperator<T> {
   mutable std::optional<Field> dagger_tmp_;
 
   // Storage-generic kernel bodies (defined in coarse_op.cpp / mrhs.cpp):
-  // `Stencil` is a row-view over the active storage (zero-copy rows for
-  // dense formats, dequantize-into-scratch for Half16) and the kernels
-  // accumulate in T via coarse_row_span / coarse_row_mrhs_span.
+  // `Stencil` is a block view over the active storage (in-place reads for
+  // dense formats, dequantize-on-load for Half16; mg/coarse_stencil.h) and
+  // the kernels accumulate in T via the row kernels of mg/coarse_row.h.
+  // Storage dispatch (defined in mg/coarse_stencil.h): fn receives the
+  // block view of the active stencil / a diagonal-inverse block getter.
+  template <typename Fn>
+  void with_stencil(Fn&& fn) const;
+  template <typename Fn>
+  void with_diag_inverse(Fn&& fn) const;
   template <typename Stencil>
   void apply_with_config_st(Field& out, const Field& in,
                             const CoarseKernelConfig& config,

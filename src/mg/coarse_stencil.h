@@ -1,19 +1,23 @@
 #pragma once
-// Internal row views over the coarse operator's storage formats, shared by
-// the single-rhs kernels (mg/coarse_op.cpp) and the batched MRHS kernels
-// (mg/mrhs.cpp) so the scratch-row protocol and the stencil-index mapping
-// exist exactly once — the bit-identity guarantee between those kernel
-// families depends on them resolving the same rows.
+// Internal block views over the coarse operator's storage formats, shared
+// by the single-rhs kernels (mg/coarse_op.cpp), the batched MRHS kernels
+// (mg/mrhs.cpp) and the distributed operator (comm/dist_coarse.cpp), so the
+// stencil-index mapping and the element loads exist exactly once — the
+// bit-identity guarantee between those kernel families depends on them
+// reading the same values.
 //
-// Protocol: `row(...)` returns a pointer to n contiguous Complex elements.
-// Dense storage returns a zero-copy pointer into the block and ignores the
-// scratch argument; Half16 dequantizes into the caller's scratch row and
-// returns it.  Callers provide `kScratchRow` elements of scratch per
-// simultaneously-live row.
+// Every dense N x N block is column-major: element (r, c) at flat index
+// c*N + r (CoarseDirac::elem_offset).  A block handle exposes
+//   elem<Tacc>(k)     element k promoted to the accumulation type, and
+//   pack<Tacc, W>(k)  elements k .. k+W-1 as one lane pack,
+// so a column's consecutive rows load straight into the row lanes of
+// mg/coarse_row.h.  Dense handles read in place; Half16 handles dequantize
+// on load (fields/halflinks.h), so no format needs a scratch copy.
 
 #include "fields/halflinks.h"
 #include "gpusim/kernels.h"
 #include "linalg/complex.h"
+#include "linalg/simd.h"
 #include "mg/coarse_op.h"
 
 namespace qmg {
@@ -34,68 +38,88 @@ inline SimPrecision sim_precision(CoarseStorage storage) {
 /// CoarseDirac<T>::kNLinks for every T.
 inline constexpr int kCoarseLinks = 8;
 
-/// Stack budget per scratch row (CoarseDirac<T>::kMaxBlockDim for every T;
-/// compress_storage enforces N <= this for Half16).
-inline constexpr int kCoarseMaxBlockDim = 128;
+/// Handle on one dense (native T or compressed float) column-major block.
+template <typename TM>
+struct DenseBlock {
+  const Complex<TM>* p;
 
-/// Zero-copy row view over dense (native T or compressed float) stencil
-/// storage.  value_type is the storage element type TM the kernels promote
-/// to the accumulation type.
+  template <typename Tacc>
+  Complex<Tacc> elem(long k) const {
+    return Complex<Tacc>(p[k]);
+  }
+  template <typename Tacc, int W>
+  simd::cpack<Tacc, W> pack(long k) const {
+    return simd::cpack<Tacc, W>::load_from(p + k);
+  }
+};
+
+/// Zero-copy view over dense stencil storage (links + diagonal).
 template <typename TM>
 struct DenseStencil {
-  using value_type = TM;
-  static constexpr size_t kScratchRow = 1;  // row() never touches scratch
+  using Block = DenseBlock<TM>;
 
   const Complex<TM>* links;
   const Complex<TM>* diag;
   int n;
 
-  const Complex<TM>* link_row(long site, int l, int r, Complex<TM>*) const {
+  Block link(long site, int l) const {
     const size_t nn = static_cast<size_t>(n) * n;
-    return links + (static_cast<size_t>(site) * kCoarseLinks + l) * nn +
-           static_cast<size_t>(r) * n;
+    return {links + (static_cast<size_t>(site) * kCoarseLinks + l) * nn};
   }
-  const Complex<TM>* diag_row(long site, int r, Complex<TM>*) const {
-    const size_t nn = static_cast<size_t>(n) * n;
-    return diag + static_cast<size_t>(site) * nn + static_cast<size_t>(r) * n;
+  Block diag_block(long site) const {
+    return {diag + static_cast<size_t>(site) * n * n};
   }
-  /// Stencil index m: 0 = diagonal, 1..8 = link m-1 (the mats[] order of
+  /// Stencil index m: 0 = diagonal, 1..8 = link m-1 (the blocks[] order of
   /// the row kernels in mg/coarse_row.h).
-  const Complex<TM>* stencil_row(long site, int m, int r,
-                                 Complex<TM>* scratch) const {
-    return m == 0 ? diag_row(site, r, scratch)
-                  : link_row(site, m - 1, r, scratch);
+  Block block(long site, int m) const {
+    return m == 0 ? diag_block(site) : link(site, m - 1);
   }
 };
 
-/// Dequantizing row view over Half16 storage: each requested row is
-/// expanded from 16-bit fixed point into the caller's scratch row, so the
-/// hot loops still stream contiguous Complex<float> rows while the memory
-/// traffic is the quantized bytes.
+/// Dequantizing view over Half16 stencil storage.
 struct HalfStencil {
-  using value_type = float;
-  static constexpr size_t kScratchRow =
-      static_cast<size_t>(kCoarseMaxBlockDim);
+  using Block = HalfCoarseLinks::Block;
 
   const HalfCoarseLinks* h;
-  int n;
 
-  const Complex<float>* link_row(long site, int l, int r,
-                                 Complex<float>* scratch) const {
-    h->load_row(site, l, r, scratch);
-    return scratch;
+  Block link(long site, int l) const { return h->block(site, l); }
+  Block diag_block(long site) const {
+    return h->block(site, HalfCoarseLinks::kDiagBlock);
   }
-  const Complex<float>* diag_row(long site, int r,
-                                 Complex<float>* scratch) const {
-    h->load_row(site, HalfCoarseLinks::kDiagBlock, r, scratch);
-    return scratch;
-  }
-  const Complex<float>* stencil_row(long site, int m, int r,
-                                    Complex<float>* scratch) const {
-    return m == 0 ? diag_row(site, r, scratch)
-                  : link_row(site, m - 1, r, scratch);
+  Block block(long site, int m) const {
+    return m == 0 ? diag_block(site) : link(site, m - 1);
   }
 };
 
 }  // namespace detail
+
+/// Run fn(view) with the block view of the ACTIVE stencil storage.
+template <typename T>
+template <typename Fn>
+void CoarseDirac<T>::with_stencil(Fn&& fn) const {
+  switch (storage_) {
+    case CoarseStorage::Single:
+      fn(detail::DenseStencil<float>{links_lo_.data(), diag_lo_.data(), n_});
+      break;
+    case CoarseStorage::Half16:
+      fn(detail::HalfStencil{&half_});
+      break;
+    default:
+      fn(detail::DenseStencil<T>{links_.data(), diag_.data(), n_});
+  }
+}
+
+/// Run fn(block_of) with block_of(site) the handle of the site's diagonal
+/// inverse (T for Native storage, float otherwise).
+template <typename T>
+template <typename Fn>
+void CoarseDirac<T>::with_diag_inverse(Fn&& fn) const {
+  if (storage_ == CoarseStorage::Native)
+    fn([this](long site) { return detail::DenseBlock<T>{diag_inv_data(site)}; });
+  else
+    fn([this](long site) {
+      return detail::DenseBlock<float>{diag_inv_lo_data(site)};
+    });
+}
+
 }  // namespace qmg

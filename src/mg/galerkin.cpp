@@ -102,13 +102,21 @@ CoarseDirac<T> build_coarse_operator(const StencilView<T>& fine,
   const auto v_blocks = gather_prolongator_blocks(transfer);
 
   // One dispatch item per coarse block: all writes target block b's own
-  // diagonal/link storage, so items never alias.
+  // diagonal/link storage, so items never alias.  The products accumulate
+  // into a row-major per-block scratch (accumulate_galerkin's natural
+  // order: unit-stride output rows), written into the operator's
+  // column-major blocks once per coarse block.
   const long n_coarse = map.coarse()->volume();
+  const int n = coarse.block_dim();
+  const size_t nn = static_cast<size_t>(n) * n;
+  constexpr int kNLinks = CoarseDirac<T>::kNLinks;
   parallel_for(n_coarse, [&](long b) {
+    // scratch block 0: diagonal, 1 + l: link l.
+    std::vector<Complex<T>> acc((1 + kNLinks) * nn, Complex<T>{});
     for (const long x : map.block_sites(b)) {
       // Diagonal term stays on the coarse diagonal.
-      accumulate_galerkin(coarse.diag_data(b), fine.diag_matrix(x),
-                          v_blocks[x], v_blocks[x], half_dof, nvec);
+      accumulate_galerkin(acc.data(), fine.diag_matrix(x), v_blocks[x],
+                          v_blocks[x], half_dof, nvec);
       // Hops: intra-aggregate ones fold into X, boundary-crossing ones into
       // the Y link of the corresponding direction.
       for (int mu = 0; mu < kNDim; ++mu)
@@ -116,13 +124,19 @@ CoarseDirac<T> build_coarse_operator(const StencilView<T>& fine,
           const long y = dir == 0 ? fine_geom.neighbor_fwd(x, mu)
                                   : fine_geom.neighbor_bwd(x, mu);
           const long by = map.coarse_site(y);
-          Complex<T>* target = by == b
-                                   ? coarse.diag_data(b)
-                                   : coarse.link_data(b, 2 * mu + dir);
+          Complex<T>* target =
+              acc.data() + (by == b ? 0 : (1 + 2 * mu + dir) * nn);
           accumulate_galerkin(target, fine.hop_matrix(x, mu, dir),
                               v_blocks[x], v_blocks[y], half_dof, nvec);
         }
     }
+    for (int c = 0; c < n; ++c)
+      for (int r = 0; r < n; ++r) {
+        const size_t rc = static_cast<size_t>(r) * n + c;
+        coarse.diag_elem(b, r, c) = acc[rc];
+        for (int l = 0; l < kNLinks; ++l)
+          coarse.link_elem(b, l, r, c) = acc[(1 + l) * nn + rc];
+      }
   });
   // Emit the requested storage precision: accumulation above ran in T, so
   // truncation touches only the finished blocks (strategy (c)'s

@@ -1,5 +1,6 @@
 #include "mg/mrhs.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "fields/blockspinor.h"
@@ -12,8 +13,7 @@
 
 namespace qmg {
 
-using detail::DenseStencil;
-using detail::HalfStencil;
+using detail::DenseBlock;
 using detail::sim_precision;
 
 // --- CoarseDirac batched kernels (declared in mg/coarse_op.h) ---------------
@@ -25,24 +25,56 @@ void CoarseDirac<T>::apply_block_with_config_st(BlockField& out,
                                                 const CoarseKernelConfig& config,
                                                 const LaunchPolicy& policy,
                                                 const Stencil& st) const {
-  using TM = typename Stencil::value_type;
+  using Blk = typename Stencil::Block;
   const long v = geom_->volume();
   const int n = n_;
   const int nrhs = in.nrhs();
-  // Per-item neighbor indexing (Listing 2's arithmetic).
-  auto site_nbrs = [&](long site, long* nbr) {
+  // Per-item neighbor indexing (Listing 2's arithmetic) and block handles.
+  auto site_setup = [&](long site, long* nbr, Blk* blks) {
     nbr[0] = site;
     for (int mu = 0; mu < kNDim; ++mu) {
       nbr[1 + 2 * mu] = geom_->neighbor_fwd(site, mu);
       nbr[2 + 2 * mu] = geom_->neighbor_bwd(site, mu);
     }
+    for (int m = 0; m < 9; ++m) blks[m] = st.block(site, m);
   };
+  // Narrow batch (fewer rhs than one native pack, a single rhs always):
+  // the rhs axis cannot fill a lane pack, so the output rows do — each rhs
+  // runs through the row-tile kernel, whose per-row tree is the same
+  // CoarseKernelConfig tree as the rhs-lane kernels below, so the results
+  // are bit-identical either way.
+  if (nrhs < std::max(2, simd::kMaxSimdWidth) && n <= kMaxBlockDim) {
+    parallel_for_2d_tiled(v, nrhs, policy, [&](long site, long k0, long k1) {
+      long nbr[9];
+      Blk blks[9];
+      site_setup(site, nbr, blks);
+      for (long k = k0; k < k1; ++k) {
+        Complex<TX> xbuf[9 * kMaxBlockDim];
+        const Complex<TX>* xin[9];
+        for (int m = 0; m < 9; ++m) {
+          if (nrhs == 1) {
+            xin[m] = in.site_data(nbr[m]);
+          } else {
+            in.gather_site_rhs(nbr[m], static_cast<int>(k), xbuf + m * n);
+            xin[m] = xbuf + m * n;
+          }
+        }
+        Complex<T> dst[kMaxBlockDim];
+        coarse_rows<T>(config, blks, xin, n, 0, n, dst);
+        out.scatter_site_rhs(site, static_cast<int>(k), dst);
+      }
+    });
+    if (policy.backend == Backend::SimtModel)
+      SimtStats::instance().record_work(coarse_op_work(
+          v * nrhs, n_, config, sim_precision<T>(storage_)));
+    return;
+  }
   // One dispatch item per site x rhs tile, rows folded into the item: each
-  // stencil row is resolved (or dequantized) once per (row, tile) and
+  // stencil element is read (or dequantized) once per (row, tile) and
   // streamed over the rhs axis unit-stride by coarse_row_mrhs_span (no
   // gather, no per-rhs re-read — the amortization this subsystem exists
   // for).  The per-row partial-sum shape — where the kernel config changes
-  // the numerics — is identical to coarse_row_span's, so results match
+  // the numerics — is identical to the row-tile kernel's, so results match
   // apply_with_config bit-for-bit at the same config and precision axes.
   //
   // Width path: the scalar sub-tile walk becomes a pack-group walk — the
@@ -54,64 +86,38 @@ void CoarseDirac<T>::apply_block_with_config_st(BlockField& out,
   // ever splits a pack.
   const int w = simd::width_for(effective_simd_width(policy),
                                 static_cast<long>(nrhs));
-  if (w > 1) {
-    simd::dispatch_width(w, [&](auto wc) {
-      constexpr int W = decltype(wc)::value;
-      const LaunchPolicy p = align_rhs_block(policy, W);
-      parallel_for_2d_tiled(v, nrhs, p, [&](long site, long k0, long k1) {
-        long nbr[9];
-        site_nbrs(site, nbr);
-        Complex<TM> scratch[9 * Stencil::kScratchRow];
-        for (long t0 = k0; t0 < k1; t0 += kCoarseRowMaxTile) {
-          const int tile =
-              static_cast<int>(std::min<long>(kCoarseRowMaxTile, k1 - t0));
-          const int groups = tile / W;
-          const int rem = tile - groups * W;
-          const Complex<TX>* xin[9];
-          const Complex<TX>* xin_rem[9];
-          for (int m = 0; m < 9; ++m) {
-            xin[m] = in.site_data(nbr[m]) + t0;
-            xin_rem[m] = xin[m] + groups * W;
-          }
-          Complex<T>* dst = out.site_data(site) + t0;
-          for (int r = 0; r < n; ++r) {
-            const Complex<TM>* rows[9];
-            for (int m = 0; m < 9; ++m)
-              rows[m] = st.stencil_row(site, m, r,
-                                       scratch + m * Stencil::kScratchRow);
-            Complex<T>* const dr = dst + static_cast<long>(r) * nrhs;
-            if (groups > 0)
-              coarse_row_mrhs_pack_groups<T, TM, TX, W>(rows, xin, nrhs, n,
-                                                        config, groups, dr);
-            if (rem > 0)
-              coarse_row_mrhs_span<T, TM, TX>(rows, xin_rem, nrhs, n, config,
-                                              rem, dr + groups * W);
-          }
-        }
-      });
-    });
-  } else {
-    parallel_for_2d_tiled(v, nrhs, policy, [&](long site, long k0, long k1) {
+  simd::dispatch_width(w, [&](auto wc) {
+    constexpr int W = decltype(wc)::value;
+    const LaunchPolicy p = align_rhs_block(policy, W);
+    parallel_for_2d_tiled(v, nrhs, p, [&](long site, long k0, long k1) {
       long nbr[9];
-      site_nbrs(site, nbr);
-      Complex<TM> scratch[9 * Stencil::kScratchRow];
+      Blk blks[9];
+      site_setup(site, nbr, blks);
       for (long t0 = k0; t0 < k1; t0 += kCoarseRowMaxTile) {
         const int tile =
             static_cast<int>(std::min<long>(kCoarseRowMaxTile, k1 - t0));
+        const int groups = W > 1 ? tile / W : 0;
+        const int rem = tile - groups * W;
         const Complex<TX>* xin[9];
-        for (int m = 0; m < 9; ++m) xin[m] = in.site_data(nbr[m]) + t0;
+        const Complex<TX>* xin_rem[9];
+        for (int m = 0; m < 9; ++m) {
+          xin[m] = in.site_data(nbr[m]) + t0;
+          xin_rem[m] = xin[m] + groups * W;
+        }
         Complex<T>* dst = out.site_data(site) + t0;
         for (int r = 0; r < n; ++r) {
-          const Complex<TM>* rows[9];
-          for (int m = 0; m < 9; ++m)
-            rows[m] =
-                st.stencil_row(site, m, r, scratch + m * Stencil::kScratchRow);
-          coarse_row_mrhs_span<T, TM, TX>(rows, xin, nrhs, n, config, tile,
-                                          dst + static_cast<long>(r) * nrhs);
+          Complex<T>* const dr = dst + static_cast<long>(r) * nrhs;
+          if constexpr (W > 1)
+            if (groups > 0)
+              coarse_row_mrhs_pack_groups<T, Blk, TX, W>(
+                  blks, r, xin, nrhs, n, config, groups, dr);
+          if (rem > 0)
+            coarse_row_mrhs_span<T>(blks, r, xin_rem, nrhs, n, config, rem,
+                                    dr + groups * W);
         }
       }
     });
-  }
+  });
   if (policy.backend == Backend::SimtModel)
     SimtStats::instance().record_work(coarse_op_work(
         v * nrhs, n_, config, sim_precision<T>(storage_)));
@@ -138,21 +144,9 @@ void CoarseDirac<T>::apply_block_with_config(BlockField& out,
                                             const CoarseKernelConfig& config,
                                             const LaunchPolicy& policy) const {
   check_block_shapes(*this, out, in);
-  switch (storage_) {
-    case CoarseStorage::Single:
-      apply_block_with_config_st(
-          out, in, config, policy,
-          DenseStencil<float>{links_lo_.data(), diag_lo_.data(), n_});
-      break;
-    case CoarseStorage::Half16:
-      apply_block_with_config_st(out, in, config, policy,
-                                 HalfStencil{&half_, n_});
-      break;
-    default:
-      apply_block_with_config_st(
-          out, in, config, policy,
-          DenseStencil<T>{links_.data(), diag_.data(), n_});
-  }
+  with_stencil([&](const auto& st) {
+    apply_block_with_config_st(out, in, config, policy, st);
+  });
 }
 
 template <typename T>
@@ -164,21 +158,9 @@ void CoarseDirac<T>::apply_block_staged(BlockField& out, const BlockField& in,
   // kernel streams float vectors (TX = float) while accumulating in T.
   // For T = float this degenerates to a copy of the plain batched apply.
   const BlockSpinor<float> staged = convert_block<float>(in);
-  switch (storage_) {
-    case CoarseStorage::Single:
-      apply_block_with_config_st(
-          out, staged, config, policy,
-          DenseStencil<float>{links_lo_.data(), diag_lo_.data(), n_});
-      break;
-    case CoarseStorage::Half16:
-      apply_block_with_config_st(out, staged, config, policy,
-                                 HalfStencil{&half_, n_});
-      break;
-    default:
-      apply_block_with_config_st(
-          out, staged, config, policy,
-          DenseStencil<T>{links_.data(), diag_.data(), n_});
-  }
+  with_stencil([&](const auto& st) {
+    apply_block_with_config_st(out, staged, config, policy, st);
+  });
 }
 
 template <typename T>
@@ -253,24 +235,22 @@ void MultiRhsCoarseOp<T>::apply_streamed(std::vector<Field>& out,
 
   parallel_for(v, [&](long site) {
     // Load the site's stencil blocks and neighbor indices once...
-    const Complex<T>* mats[9];
+    DenseBlock<T> blks[9];
     long nbr[9];
-    mats[0] = op_.diag_data(site);
+    blks[0] = {op_.diag_data(site)};
     nbr[0] = site;
     for (int mu = 0; mu < kNDim; ++mu) {
-      mats[1 + 2 * mu] = op_.link_data(site, 2 * mu);
+      blks[1 + 2 * mu] = {op_.link_data(site, 2 * mu)};
       nbr[1 + 2 * mu] = geom.neighbor_fwd(site, mu);
-      mats[2 + 2 * mu] = op_.link_data(site, 2 * mu + 1);
+      blks[2 + 2 * mu] = {op_.link_data(site, 2 * mu + 1)};
       nbr[2 + 2 * mu] = geom.neighbor_bwd(site, mu);
     }
-    // ...and stream every right-hand side through them.  The inner row loop
-    // is exactly the single-rhs kernel, so results are bit-identical.
+    // ...and stream every right-hand side through them.  The row loop is
+    // exactly the single-rhs kernel, so results are bit-identical.
     for (int k = 0; k < nrhs; ++k) {
       const Complex<T>* xin[9];
       for (int m = 0; m < 9; ++m) xin[m] = in[k].site_data(nbr[m]);
-      Complex<T>* dst = out[k].site_data(site);
-      for (int row = 0; row < n; ++row)
-        dst[row] = coarse_row(mats, xin, row, n, config);
+      coarse_rows<T>(config, blks, xin, n, 0, n, out[k].site_data(site));
     }
   });
 }

@@ -106,18 +106,17 @@ class CoarseStencilView : public StencilView<T> {
   SmallMatrix<T> hop_matrix(long site, int mu, int dir) const override {
     const int n = op_.block_dim();
     SmallMatrix<T> h(n, n);
-    const Complex<T>* src = op_.link_data(site, 2 * mu + dir);
     for (int r = 0; r < n; ++r)
-      for (int c = 0; c < n; ++c) h(r, c) = src[static_cast<size_t>(r) * n + c];
+      for (int c = 0; c < n; ++c)
+        h(r, c) = op_.link_elem(site, 2 * mu + dir, r, c);
     return h;
   }
 
   SmallMatrix<T> diag_matrix(long site) const override {
     const int n = op_.block_dim();
     SmallMatrix<T> d(n, n);
-    const Complex<T>* src = op_.diag_data(site);
     for (int r = 0; r < n; ++r)
-      for (int c = 0; c < n; ++c) d(r, c) = src[static_cast<size_t>(r) * n + c];
+      for (int c = 0; c < n; ++c) d(r, c) = op_.diag_elem(site, r, c);
     return d;
   }
 

@@ -6,6 +6,19 @@ namespace qmg {
 
 namespace {
 thread_local bool t_in_parallel_region = false;
+
+/// Marks the calling thread as inside a parallel region for its lifetime
+/// and restores the previous state on exit — exceptions included.
+class RegionScope {
+ public:
+  RegionScope() : was_(t_in_parallel_region) { t_in_parallel_region = true; }
+  ~RegionScope() { t_in_parallel_region = was_; }
+  RegionScope(const RegionScope&) = delete;
+  RegionScope& operator=(const RegionScope&) = delete;
+
+ private:
+  bool was_;
+};
 }  // namespace
 
 ThreadPool& ThreadPool::instance() {
@@ -67,11 +80,18 @@ void ThreadPool::worker_loop(int id, long seen) {
       seen = generation_;
       job = job_;
     }
-    t_in_parallel_region = true;
-    job(id);
-    t_in_parallel_region = false;
+    std::exception_ptr error;
+    {
+      const RegionScope region;
+      try {
+        job(id);
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
     {
       MutexLock lock(mutex_);
+      if (error && !error_) error_ = error;
       --pending_;
     }
     cv_done_.notify_one();
@@ -81,27 +101,37 @@ void ThreadPool::worker_loop(int id, long seen) {
 void ThreadPool::run(const std::function<void(int)>& job) {
   if (n_threads_ == 1 || t_in_parallel_region) {
     // Degenerate pool or nested region: the caller does all the work.
-    const bool was_nested = t_in_parallel_region;
-    t_in_parallel_region = true;
+    const RegionScope region;
     job(0);
-    t_in_parallel_region = was_nested;
     return;
   }
+  MutexLock launch(launch_mutex_);
   {
     MutexLock lock(mutex_);
     job_ = job;
     pending_ = static_cast<int>(workers_.size());
+    error_ = nullptr;
     ++generation_;
   }
   cv_start_.notify_all();
-  t_in_parallel_region = true;
-  job(0);
-  t_in_parallel_region = false;
+  std::exception_ptr error;
+  {
+    const RegionScope region;
+    try {
+      job(0);
+    } catch (...) {
+      error = std::current_exception();
+    }
+  }
   {
     MutexLock lock(mutex_);
+    if (error && !error_) error_ = error;
     while (pending_ != 0) cv_done_.wait(lock);
     job_ = nullptr;
+    error = error_;
+    error_ = nullptr;
   }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace qmg

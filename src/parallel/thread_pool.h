@@ -15,11 +15,19 @@
 // dispatch layer checks in_parallel_region() and falls back), which keeps
 // inner BLAS calls inside an already-parallel solver region correct.
 //
+// Several non-pool threads may call run() at once (two contexts on two
+// threads, a direct solve racing a SolveQueue dispatcher): launches are
+// serialized by a launch mutex, so one job owns the workers from launch to
+// join.  An exception thrown by the job — on a worker or on the caller —
+// never escapes a worker thread: the first one is captured, every worker
+// is joined, and run() rethrows it on the caller.
+//
 // Lock discipline is statically checked (util/thread_annotations.h): the
 // park/launch protocol state — job, generation, pending count, shutdown
 // flag — is guarded by one mutex, and the CI thread-safety build fails on
 // any unguarded access.
 
+#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -48,8 +56,12 @@ class ThreadPool {
   static bool in_parallel_region();
 
   /// Execute job(worker_id) for worker_id in [0, num_threads()), blocking
-  /// until every worker finishes.  The caller runs worker 0.
-  void run(const std::function<void(int)>& job) QMG_EXCLUDES(mutex_);
+  /// until every worker finishes.  The caller runs worker 0.  Safe to call
+  /// from several threads at once (launches are serialized); if any
+  /// job(worker_id) throws, the first exception is rethrown here after all
+  /// workers have finished.
+  void run(const std::function<void(int)>& job)
+      QMG_EXCLUDES(mutex_, launch_mutex_);
 
  private:
   ThreadPool();
@@ -68,6 +80,9 @@ class ThreadPool {
   /// per its contract above).
   int n_threads_ = 1;
 
+  /// Held by a multi-worker launch from launch to join: one job owns the
+  /// workers at a time.  Taken before mutex_, never while holding it.
+  Mutex launch_mutex_;
   mutable Mutex mutex_;
   CondVar cv_start_;
   CondVar cv_done_;
@@ -75,6 +90,8 @@ class ThreadPool {
   long generation_ QMG_GUARDED_BY(mutex_) = 0;
   int pending_ QMG_GUARDED_BY(mutex_) = 0;
   bool shutdown_ QMG_GUARDED_BY(mutex_) = false;
+  /// First exception thrown by the current job (worker or caller).
+  std::exception_ptr error_ QMG_GUARDED_BY(mutex_);
 };
 
 }  // namespace qmg

@@ -184,13 +184,12 @@ TEST(Galerkin, BackwardLinksAreGamma5ConjugateOfForward) {
   for (long x = 0; x < cgeom.volume(); ++x)
     for (int mu = 0; mu < 4; ++mu) {
       const long xm = cgeom.neighbor_bwd(x, mu);
-      const Complex<double>* bwd = coarse.link_data(x, 2 * mu + 1);
-      const Complex<double>* fwd = coarse.link_data(xm, 2 * mu);
       for (int r = 0; r < n; ++r)
         for (int c = 0; c < n; ++c) {
           const double sign = ((r / nc) + (c / nc)) % 2 == 0 ? 1.0 : -1.0;
-          const complexd expect = sign * conj(fwd[c * n + r]);
-          const complexd got = bwd[r * n + c];
+          const complexd expect =
+              sign * conj(coarse.link_elem(xm, 2 * mu, c, r));
+          const complexd got = coarse.link_elem(x, 2 * mu + 1, r, c);
           ASSERT_NEAR(got.re, expect.re, 1e-10);
           ASSERT_NEAR(got.im, expect.im, 1e-10);
         }

@@ -1,9 +1,15 @@
 // Tests of the fine-grained parallelization kernels (section 6): every
 // strategy/split/ILP combination must compute the same coarse-operator
 // apply up to floating-point reassociation, and the autotuner must cache a
-// valid policy.
+// valid policy.  Also the thread pool's launch protocol: concurrent
+// callers and throwing jobs (the TSan job runs this file).
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <atomic>
+#include <stdexcept>
+#include <thread>
 
 #include "dirac/clover.h"
 #include "dirac/wilson.h"
@@ -12,6 +18,7 @@
 #include "mg/galerkin.h"
 #include "mg/nullspace.h"
 #include "parallel/autotune.h"
+#include "parallel/thread_pool.h"
 
 namespace qmg {
 namespace {
@@ -169,6 +176,83 @@ TEST(Autotune, AutotunedApplyMatchesExplicit) {
   EXPECT_LT(std::sqrt(blas::norm2(y_tuned) / blas::norm2(y_fixed)), 1e-12);
   EXPECT_GE(TuneCache::instance().size(), 1u);
   TuneCache::instance().clear();
+}
+
+/// Re-shapes the process pool for one test and restores its width after.
+class PoolWidth {
+ public:
+  explicit PoolWidth(int n) : saved_(ThreadPool::instance().num_threads()) {
+    ThreadPool::instance().resize(n);
+  }
+  ~PoolWidth() { ThreadPool::instance().resize(saved_); }
+
+ private:
+  int saved_;
+};
+
+TEST(ThreadPoolLaunch, ConcurrentCallersNeverLoseWork) {
+  // Two non-pool threads launch 2000 jobs each on a 4-wide pool; every
+  // launch must run every worker id exactly once.  Before launches were
+  // serialized, the second caller overwrote the first one's job and
+  // pending count: worker chunks went missing or run() deadlocked.
+  constexpr int kWidth = 4;
+  constexpr long kLaunches = 2000;
+  const PoolWidth width(kWidth);
+  ThreadPool& pool = ThreadPool::instance();
+  std::array<std::array<std::atomic<long>, kWidth>, 2> hits{};
+  auto caller = [&](int t) {
+    for (long i = 0; i < kLaunches; ++i)
+      pool.run([&hits, t](int w) {
+        hits[static_cast<size_t>(t)][static_cast<size_t>(w)].fetch_add(
+            1, std::memory_order_relaxed);
+      });
+  };
+  std::thread a(caller, 0);
+  std::thread b(caller, 1);
+  a.join();
+  b.join();
+  for (int t = 0; t < 2; ++t)
+    for (int w = 0; w < kWidth; ++w)
+      EXPECT_EQ(hits[static_cast<size_t>(t)][static_cast<size_t>(w)].load(),
+                kLaunches)
+          << "caller " << t << " worker " << w;
+}
+
+TEST(ThreadPoolLaunch, ExceptionIsRethrownAfterEveryWorkerJoined) {
+  constexpr int kWidth = 4;
+  const PoolWidth width(kWidth);
+  ThreadPool& pool = ThreadPool::instance();
+  // A worker throws: run() rethrows on the caller once all workers ran.
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.run([&](int w) {
+    ran.fetch_add(1);
+    if (w == kWidth - 1) throw std::runtime_error("worker");
+  }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), kWidth);
+  EXPECT_FALSE(ThreadPool::in_parallel_region());
+  // The caller (worker 0) throws: same contract.
+  ran = 0;
+  EXPECT_THROW(pool.run([&](int w) {
+    ran.fetch_add(1);
+    if (w == 0) throw std::logic_error("caller");
+  }),
+               std::logic_error);
+  EXPECT_EQ(ran.load(), kWidth);
+  EXPECT_FALSE(ThreadPool::in_parallel_region());
+  // The pool is still whole: the next launch reaches every worker.
+  std::array<std::atomic<int>, kWidth> hit{};
+  pool.run([&](int w) { hit[static_cast<size_t>(w)].fetch_add(1); });
+  for (int w = 0; w < kWidth; ++w)
+    EXPECT_EQ(hit[static_cast<size_t>(w)].load(), 1) << w;
+}
+
+TEST(ThreadPoolLaunch, SerialPathRestoresRegionFlagOnThrow) {
+  const PoolWidth width(1);
+  EXPECT_THROW(ThreadPool::instance().run(
+                   [](int) { throw std::runtime_error("serial"); }),
+               std::runtime_error);
+  EXPECT_FALSE(ThreadPool::in_parallel_region());
 }
 
 }  // namespace
