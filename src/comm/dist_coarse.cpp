@@ -452,7 +452,7 @@ void DistributedBlockCoarseOp<T>::apply(Field& out, const Field& in) const {
     sout_ = std::make_unique<DistributedSpinor<T>>(dist_.create_vector());
   }
   sin_->scatter(in);
-  dist_.apply(*sout_, *sin_, global_.kernel_config(), &stats_, mode_);
+  dist_.apply(*sout_, *sin_, global_.resolve_kernel().first, &stats_, mode_);
   sout_->gather(out);
 }
 
@@ -471,7 +471,8 @@ void DistributedBlockCoarseOp<T>::apply_block(BlockField& out,
         dist_.create_block(in.nrhs()));
   }
   bin_->scatter(in);
-  dist_.apply_block(*bout_, *bin_, global_.kernel_config(), &stats_, mode_);
+  dist_.apply_block(*bout_, *bin_, global_.resolve_kernel(in.nrhs()).first,
+                    &stats_, mode_);
   bout_->gather(out);
 }
 

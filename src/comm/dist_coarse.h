@@ -196,14 +196,13 @@ class DistributedCoarseOp {
 /// DistributedBlockWilsonOp): apply_block scatters a global BlockSpinor
 /// over the virtual ranks, runs the batched distributed apply — one
 /// batched halo exchange per apply, interior compute hiding it in
-/// Overlapped mode — and gathers the result.  Applies use the global
-/// operator's pinned kernel configuration (CoarseDirac::kernel_config), so
-/// with a pinned config a K-cycle solve through this operator iterates
-/// bit-identically to the replicated one (the contract
-/// Multigrid::cycle_block's distributed dispatch relies on; with autotune
-/// left on, the replicated path may tune a different — individually valid —
-/// decomposition).  Communication of every apply accumulates in
-/// comm_stats(), counted exactly once per exchange.
+/// Overlapped mode — and gathers the result.  Applies run the kernel config
+/// the global operator's own apply/apply_block would run at that rhs count
+/// (CoarseDirac::resolve_kernel: pinned or tuned), so a K-cycle solve
+/// through this operator iterates bit-identically to the replicated one
+/// (the contract Multigrid::cycle_block's distributed dispatch relies on).
+/// Communication of every apply accumulates in comm_stats(), counted
+/// exactly once per exchange.
 template <typename T>
 class DistributedBlockCoarseOp : public LinearOperator<T> {
  public:

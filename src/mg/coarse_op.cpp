@@ -201,27 +201,48 @@ void CoarseDirac<T>::apply_with_config(
 }
 
 template <typename T>
-void CoarseDirac<T>::apply(Field& out, const Field& in) const {
-  this->count_apply();
-  if (!autotune_) {
-    apply_with_config(out, in, config_);
-    return;
-  }
-  // Autotune on first use for this (volume, N, precision) shape (section
-  // 6.5): a joint sweep over kernel decompositions AND execution backends,
-  // cached together under the shape key.  The precision tag keeps a float-
-  // or compressed-storage kernel from replaying a config tuned for double
-  // (their bytes/flop balance differs).
+std::pair<CoarseKernelConfig, LaunchPolicy> CoarseDirac<T>::resolve_kernel(
+    int nrhs) const {
+  if (!autotune_) return {config_, default_policy()};
+  // Autotune on first use for this shape (section 6.5): a joint sweep over
+  // kernel decompositions AND execution backends — for a wide batch also
+  // the rhs-blocking — cached together under the shape key.  The precision
+  // tag keeps a float- or compressed-storage kernel from replaying a config
+  // tuned for double (their bytes/flop balance differs).
   auto& cache = TuneCache::instance();
-  const std::string key =
-      coarse_tune_key(geom_->volume(), n_, precision_tag());
-  const auto [best, policy] = cache.tune_joint(
-      key, n_, [&](const CoarseKernelConfig& cand, const LaunchPolicy& lp) {
+  if (nrhs <= 0 || narrow_batch(nrhs)) {
+    std::optional<Field> x, y;
+    return cache.tune_joint(
+        coarse_tune_key(geom_->volume(), n_, precision_tag()), n_,
+        [&](const CoarseKernelConfig& cand, const LaunchPolicy& lp) {
+          if (!x) {
+            x.emplace(create_vector());
+            y.emplace(create_vector());
+          }
+          Timer timer;
+          apply_with_config(*y, *x, cand, lp);
+          return timer.seconds();
+        });
+  }
+  std::optional<BlockField> x, y;
+  return cache.tune_joint_2d(
+      mrhs_tune_key(geom_->volume(), n_, nrhs, precision_tag()), n_, nrhs,
+      [&](const CoarseKernelConfig& cand, const LaunchPolicy& lp) {
+        if (!x) {
+          x.emplace(geom_, kNSpin, nc_, nrhs);
+          y.emplace(geom_, kNSpin, nc_, nrhs);
+        }
         Timer timer;
-        apply_with_config(out, in, cand, lp);
+        apply_block_with_config(*y, *x, cand, lp);
         return timer.seconds();
       });
-  apply_with_config(out, in, best, policy);
+}
+
+template <typename T>
+void CoarseDirac<T>::apply(Field& out, const Field& in) const {
+  this->count_apply();
+  const auto [config, policy] = resolve_kernel();
+  apply_with_config(out, in, config, policy);
 }
 
 template <typename T>

@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fields/halflinks.h"
@@ -191,9 +192,10 @@ class CoarseDirac : public LinearOperator<T> {
   /// rhs axis.  Autotuned (kernel decomposition, backend and rhs-blocking
   /// jointly) per (volume, N, nrhs) shape unless a fixed config was set
   /// with set_kernel_config.  Per-rhs bit-identical to apply() at the same
-  /// kernel config.  A batch narrower than one native pack (a single rhs
-  /// always) runs rhs by rhs through the row-lane kernel instead, since
-  /// its rhs axis cannot fill the lanes.  Implemented in mg/mrhs.cpp.
+  /// kernel config.  A narrow batch (narrow_batch()) runs rhs by rhs
+  /// through the row-lane kernel instead, since its rhs axis cannot fill
+  /// the lanes, and replays apply()'s tuned config (resolve_kernel()).
+  /// Implemented in mg/mrhs.cpp.
   void apply_block(BlockField& out, const BlockField& in) const override;
 
   /// Batched apply with explicit kernel config and launch policy (the
@@ -248,6 +250,22 @@ class CoarseDirac : public LinearOperator<T> {
   }
   void enable_autotune() { autotune_ = true; }
   const CoarseKernelConfig& kernel_config() const { return config_; }
+
+  /// The (kernel config, launch policy) that apply() (`nrhs` == 0) or
+  /// apply_block() on `nrhs` rhs runs: the fixed config when one was set,
+  /// else the TuneCache's choice for that shape, tuned here (on scratch
+  /// vectors) on its first encounter.  A narrow batch runs rhs by rhs
+  /// through apply()'s row-tile kernel, so it shares apply()'s shape.  The
+  /// distributed adapters resolve their config here too, which keeps them
+  /// bit-identical to this operator whatever the tuner picked.
+  std::pair<CoarseKernelConfig, LaunchPolicy> resolve_kernel(
+      int nrhs = 0) const;
+  /// Whether apply_block on `nrhs` rhs is a narrow batch: fewer rhs than
+  /// one native pack (a single rhs always), so the output rows fill the
+  /// lanes instead of the rhs axis.
+  bool narrow_batch(int nrhs) const {
+    return nrhs < std::max(2, simd::kMaxSimdWidth) && n_ <= kMaxBlockDim;
+  }
 
   /// Stencil (links + diagonal) bytes one apply reads per site in the
   /// ACTIVE storage format — the term the precision truncation shrinks.

@@ -1,5 +1,6 @@
 #include "mg/galerkin.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -9,76 +10,124 @@ namespace qmg {
 
 namespace {
 
-/// Per-fine-site chirality blocks of the prolongator: V[ch] is the
-/// (dof/2 x nvec) matrix whose k-th column holds null vector k's components
-/// on chirality ch at this site.  The chirality block structure (zero
-/// off-blocks) halves the accumulation cost.
+/// The prolongator as per-fine-site chirality blocks in one contiguous
+/// array: block (x, ch) is the row-major (dof/2 x nvec) matrix whose column
+/// k holds null vector k's components on chirality ch at site x.  The
+/// chirality block structure (zero off-blocks) halves every product.
 template <typename T>
-struct SiteV {
-  std::vector<Complex<T>> block[2];
+struct ProlongatorBlocks {
+  int half_dof;
+  int nvec;
+  std::vector<Complex<T>> v;
+
+  explicit ProlongatorBlocks(const Transfer<T>& t)
+      : half_dof(t.fine_nspin() / 2 * t.fine_ncolor()),
+        nvec(t.nvec()),
+        v(static_cast<size_t>(t.map().fine()->volume()) * 2 * half_dof *
+          nvec) {
+    const int half_spin = t.fine_nspin() / 2;
+    const int nc = t.fine_ncolor();
+    parallel_for(t.map().fine()->volume(), [&](long x) {
+      for (int ch = 0; ch < 2; ++ch) {
+        Complex<T>* blk = v.data() + offset(x, ch);
+        for (int s = 0; s < half_spin; ++s)
+          for (int c = 0; c < nc; ++c)
+            for (int k = 0; k < nvec; ++k)
+              blk[static_cast<size_t>(s * nc + c) * nvec + k] =
+                  t.null_vectors()[k](x, ch * half_spin + s, c);
+      }
+    });
+  }
+
+  size_t offset(long x, int ch) const {
+    return (static_cast<size_t>(x) * 2 + ch) * half_dof * nvec;
+  }
+  const Complex<T>* block(long x, int ch) const {
+    return v.data() + offset(x, ch);
+  }
 };
 
-template <typename T>
-std::vector<SiteV<T>> gather_prolongator_blocks(const Transfer<T>& t) {
-  const long vf = t.map().fine()->volume();
-  const int ns = t.fine_nspin();
-  const int nc = t.fine_ncolor();
-  const int half = ns / 2;
-  const int nvec = t.nvec();
-  std::vector<SiteV<T>> v(vf);
-  parallel_for(vf, [&](long x) {
-    for (int ch = 0; ch < 2; ++ch) {
-      v[x].block[ch].assign(static_cast<size_t>(half) * nc * nvec,
-                            Complex<T>{});
-      for (int s = 0; s < half; ++s)
-        for (int c = 0; c < nc; ++c)
-          for (int k = 0; k < nvec; ++k)
-            v[x].block[ch][(static_cast<size_t>(s) * nc + c) * nvec + k] =
-                t.null_vectors()[k](x, ch * half + s, c);
-    }
-  });
-  return v;
+/// out[k] += sum_j term(coef[j], rows[j][k]) for k < len, with term a*x
+/// (or conj(x)*a when Conj).  The terms go four at a time, so each pass
+/// over `out` carries four products instead of one.
+template <bool Conj, typename T>
+void add_rows(Complex<T>* out, const Complex<T>* coef,
+              const Complex<T>* const* rows, int nterms, int len) {
+  auto term = [](const Complex<T>& a, const Complex<T>& x) {
+    if constexpr (Conj)
+      return conj_mul(x, a);
+    else
+      return a * x;
+  };
+  int j = 0;
+  for (; j + 4 <= nterms; j += 4) {
+    const Complex<T> a0 = coef[j], a1 = coef[j + 1];
+    const Complex<T> a2 = coef[j + 2], a3 = coef[j + 3];
+    const Complex<T>* x0 = rows[j];
+    const Complex<T>* x1 = rows[j + 1];
+    const Complex<T>* x2 = rows[j + 2];
+    const Complex<T>* x3 = rows[j + 3];
+    for (int k = 0; k < len; ++k)
+      out[k] += (term(a0, x0[k]) + term(a1, x1[k])) +
+                (term(a2, x2[k]) + term(a3, x3[k]));
+  }
+  for (; j < nterms; ++j)
+    for (int k = 0; k < len; ++k) out[k] += term(coef[j], rows[j][k]);
 }
 
-/// target += Vx^dag * H * Vy, exploiting the chirality block structure.
-/// H is a dense (dof x dof) block; Vx, Vy are SiteV; target is (2*nvec)^2
-/// row-major with coarse index = ch*nvec + k.
+/// Per-dispatch-item scratch: the H V accumulator (row-major dof x 2*nvec,
+/// column ch*nvec + k = H's chirality-ch columns applied to null vector
+/// k) and the term lists handed to add_rows.
 template <typename T>
-void accumulate_galerkin(Complex<T>* target, const SmallMatrix<T>& h,
-                         const SiteV<T>& vx, const SiteV<T>& vy, int half_dof,
-                         int nvec) {
-  const int n = 2 * nvec;
-  // tmp[ch_col] = H[:, rows(ch_col)] * Vy[ch_col]: (dof x nvec).
-  // Work per output chirality row block to keep the temporary small.
-  std::vector<Complex<T>> tmp(static_cast<size_t>(2 * half_dof) * nvec);
-  for (int ch_col = 0; ch_col < 2; ++ch_col) {
-    // tmp = H(:, ch_col block) * Vy[ch_col].
-    for (int r = 0; r < 2 * half_dof; ++r) {
-      Complex<T>* trow = tmp.data() + static_cast<size_t>(r) * nvec;
-      for (int k = 0; k < nvec; ++k) trow[k] = Complex<T>{};
-      for (int q = 0; q < half_dof; ++q) {
-        const Complex<T> hval = h(r, ch_col * half_dof + q);
+struct GalerkinScratch {
+  std::vector<Complex<T>> hv, coef;
+  std::vector<const Complex<T>*> rows;
+  GalerkinScratch(int dof, int nvec)
+      : hv(static_cast<size_t>(dof) * 2 * nvec),
+        coef(static_cast<size_t>(dof) / 2),
+        rows(static_cast<size_t>(dof) / 2) {}
+};
+
+/// hv += H V(y) for a fine block H coupling this site to site y.
+template <typename T>
+void add_h_times_v(GalerkinScratch<T>& s, const SmallMatrix<T>& h,
+                   const ProlongatorBlocks<T>& pv, long y) {
+  const int half = pv.half_dof;
+  const int nvec = pv.nvec;
+  for (int r = 0; r < 2 * half; ++r)
+    for (int ch = 0; ch < 2; ++ch) {
+      const Complex<T>* vy = pv.block(y, ch);
+      int nterms = 0;
+      for (int q = 0; q < half; ++q) {
+        const Complex<T> hval = h(r, ch * half + q);
         if (hval.re == T(0) && hval.im == T(0)) continue;
-        const Complex<T>* vrow =
-            vy.block[ch_col].data() + static_cast<size_t>(q) * nvec;
-        for (int k = 0; k < nvec; ++k) trow[k] += hval * vrow[k];
+        s.coef[nterms] = hval;
+        s.rows[nterms++] = vy + static_cast<size_t>(q) * nvec;
       }
+      add_rows<false>(s.hv.data() + static_cast<size_t>(r) * 2 * nvec +
+                          ch * nvec,
+                      s.coef.data(), s.rows.data(), nterms, nvec);
     }
-    // target[ch_row, ch_col] += Vx[ch_row]^dag * tmp[rows(ch_row)].
-    for (int ch_row = 0; ch_row < 2; ++ch_row) {
-      for (int kp = 0; kp < nvec; ++kp) {
-        Complex<T>* out_row =
-            target + static_cast<size_t>(ch_row * nvec + kp) * n +
-            ch_col * nvec;
-        for (int q = 0; q < half_dof; ++q) {
-          const Complex<T> v =
-              conj(vx.block[ch_row][static_cast<size_t>(q) * nvec + kp]);
-          if (v.re == T(0) && v.im == T(0)) continue;
-          const Complex<T>* trow =
-              tmp.data() + static_cast<size_t>(ch_row * half_dof + q) * nvec;
-          for (int k = 0; k < nvec; ++k) out_row[k] += v * trow[k];
-        }
-      }
+}
+
+/// target += V(x)^dag hv, straight into a column-major (2*nvec)^2 coarse
+/// block (element (r, c) at c*n + r): each column is a sum of conjugated
+/// prolongator rows, unit stride in both the block and the prolongator.
+template <typename T>
+void add_vdag_times_hv(Complex<T>* target, GalerkinScratch<T>& s,
+                       const ProlongatorBlocks<T>& pv, long x) {
+  const int half = pv.half_dof;
+  const int nvec = pv.nvec;
+  const int n = 2 * nvec;
+  for (int ch = 0; ch < 2; ++ch) {
+    const Complex<T>* vx = pv.block(x, ch);
+    for (int q = 0; q < half; ++q)
+      s.rows[q] = vx + static_cast<size_t>(q) * nvec;
+    for (int c = 0; c < n; ++c) {
+      for (int q = 0; q < half; ++q)
+        s.coef[q] = s.hv[static_cast<size_t>(ch * half + q) * n + c];
+      add_rows<true>(target + static_cast<size_t>(c) * n + ch * nvec,
+                     s.coef.data(), s.rows.data(), half, nvec);
     }
   }
 }
@@ -95,48 +144,59 @@ CoarseDirac<T> build_coarse_operator(const StencilView<T>& fine,
 
   const auto& map = transfer.map();
   const auto& fine_geom = *map.fine();
+  const auto& coarse_geom = *map.coarse();
   const int nvec = transfer.nvec();
-  const int half_dof = fine.site_dof() / 2;
 
   CoarseDirac<T> coarse(map.coarse(), nvec);
-  const auto v_blocks = gather_prolongator_blocks(transfer);
+  const ProlongatorBlocks<T> pv(transfer);
 
   // One dispatch item per coarse block: all writes target block b's own
-  // diagonal/link storage, so items never alias.  The products accumulate
-  // into a row-major per-block scratch (accumulate_galerkin's natural
-  // order: unit-stride output rows), written into the operator's
-  // column-major blocks once per coarse block.
-  const long n_coarse = map.coarse()->volume();
+  // diagonal and forward links, so items never alias.
+  const long n_coarse = coarse_geom.volume();
   const int n = coarse.block_dim();
-  const size_t nn = static_cast<size_t>(n) * n;
-  constexpr int kNLinks = CoarseDirac<T>::kNLinks;
   parallel_for(n_coarse, [&](long b) {
-    // scratch block 0: diagonal, 1 + l: link l.
-    std::vector<Complex<T>> acc((1 + kNLinks) * nn, Complex<T>{});
+    GalerkinScratch<T> s(fine.site_dof(), nvec);
+    auto zero_hv = [&] { std::fill(s.hv.begin(), s.hv.end(), Complex<T>{}); };
     for (const long x : map.block_sites(b)) {
-      // Diagonal term stays on the coarse diagonal.
-      accumulate_galerkin(acc.data(), fine.diag_matrix(x), v_blocks[x],
-                          v_blocks[x], half_dof, nvec);
-      // Hops: intra-aggregate ones fold into X, boundary-crossing ones into
-      // the Y link of the corresponding direction.
+      // The diagonal term and every hop that stays inside the aggregate
+      // land in the coarse diagonal X: sum their H V, then one V^dag.
+      zero_hv();
+      add_h_times_v(s, fine.diag_matrix(x), pv, x);
       for (int mu = 0; mu < kNDim; ++mu)
         for (int dir = 0; dir < 2; ++dir) {
           const long y = dir == 0 ? fine_geom.neighbor_fwd(x, mu)
                                   : fine_geom.neighbor_bwd(x, mu);
-          const long by = map.coarse_site(y);
-          Complex<T>* target =
-              acc.data() + (by == b ? 0 : (1 + 2 * mu + dir) * nn);
-          accumulate_galerkin(target, fine.hop_matrix(x, mu, dir),
-                              v_blocks[x], v_blocks[y], half_dof, nvec);
+          if (map.coarse_site(y) == b)
+            add_h_times_v(s, fine.hop_matrix(x, mu, dir), pv, y);
+        }
+      add_vdag_times_hv(coarse.diag_data(b), s, pv, x);
+      // A forward hop across the aggregate boundary feeds the forward link.
+      for (int mu = 0; mu < kNDim; ++mu) {
+        const long y = fine_geom.neighbor_fwd(x, mu);
+        if (map.coarse_site(y) == b) continue;
+        zero_hv();
+        add_h_times_v(s, fine.hop_matrix(x, mu, 0), pv, y);
+        add_vdag_times_hv(coarse.link_data(b, 2 * mu), s, pv, x);
+      }
+    }
+  });
+  // Backward links from coarse gamma5-Hermiticity, inherited from the
+  // fine operator through the chirality-preserving prolongator:
+  // Ybwd_mu(b) = Gamma5 Yfwd_mu(b - mu)^dag Gamma5, Gamma5 = diag(+1, -1)
+  // over the coarse chiralities.  Where the coarse extent is 1 the
+  // neighbour is b itself and every hop was folded into X above.
+  parallel_for(n_coarse, [&](long b) {
+    for (int mu = 0; mu < kNDim; ++mu) {
+      const long bm = coarse_geom.neighbor_bwd(b, mu);
+      if (bm == b) continue;
+      const Complex<T>* fwd = coarse.link_data(bm, 2 * mu);
+      Complex<T>* bwd = coarse.link_data(b, 2 * mu + 1);
+      for (int c = 0; c < n; ++c)
+        for (int r = 0; r < n; ++r) {
+          const Complex<T> y = conj(fwd[coarse.elem_offset(c, r)]);
+          bwd[coarse.elem_offset(r, c)] = (r < nvec) == (c < nvec) ? y : -y;
         }
     }
-    for (int c = 0; c < n; ++c)
-      for (int r = 0; r < n; ++r) {
-        const size_t rc = static_cast<size_t>(r) * n + c;
-        coarse.diag_elem(b, r, c) = acc[rc];
-        for (int l = 0; l < kNLinks; ++l)
-          coarse.link_elem(b, l, r, c) = acc[(1 + l) * nn + rc];
-      }
   });
   // Emit the requested storage precision: accumulation above ran in T, so
   // truncation touches only the finished blocks (strategy (c)'s

@@ -7,9 +7,7 @@
 #include "gpusim/kernels.h"
 #include "mg/coarse_row.h"
 #include "mg/coarse_stencil.h"
-#include "parallel/autotune.h"
 #include "parallel/dispatch.h"
-#include "util/timer.h"
 
 namespace qmg {
 
@@ -43,7 +41,7 @@ void CoarseDirac<T>::apply_block_with_config_st(BlockField& out,
   // runs through the row-tile kernel, whose per-row tree is the same
   // CoarseKernelConfig tree as the rhs-lane kernels below, so the results
   // are bit-identical either way.
-  if (nrhs < std::max(2, simd::kMaxSimdWidth) && n <= kMaxBlockDim) {
+  if (narrow_batch(nrhs)) {
     parallel_for_2d_tiled(v, nrhs, policy, [&](long site, long k0, long k1) {
       long nbr[9];
       Blk blks[9];
@@ -166,26 +164,8 @@ void CoarseDirac<T>::apply_block_staged(BlockField& out, const BlockField& in,
 template <typename T>
 void CoarseDirac<T>::apply_block(BlockField& out, const BlockField& in) const {
   for (int k = 0; k < in.nrhs(); ++k) this->count_apply();
-  if (!autotune_) {
-    apply_block_with_config(out, in, config_, default_policy());
-    return;
-  }
-  // Joint autotune over kernel decomposition x (backend, grain, rhs_block)
-  // for this (volume, N, nrhs, precision) shape — the rhs-blocking is a
-  // first-class tuning dimension of the batched kernel, and the precision
-  // tag keeps compressed-storage kernels from replaying configs tuned for
-  // a different bytes/flop balance.
-  auto& cache = TuneCache::instance();
-  const std::string key =
-      mrhs_tune_key(geom_->volume(), n_, in.nrhs(), precision_tag());
-  const auto [best, policy] = cache.tune_joint_2d(
-      key, n_, in.nrhs(),
-      [&](const CoarseKernelConfig& cand, const LaunchPolicy& lp) {
-        Timer timer;
-        apply_block_with_config(out, in, cand, lp);
-        return timer.seconds();
-      });
-  apply_block_with_config(out, in, best, policy);
+  const auto [config, policy] = resolve_kernel(in.nrhs());
+  apply_block_with_config(out, in, config, policy);
 }
 
 // --- MultiRhsCoarseOp -------------------------------------------------------

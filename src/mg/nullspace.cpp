@@ -9,17 +9,20 @@ namespace qmg {
 
 namespace {
 
-/// The shared MR relaxation core on M x = 0: r = -M x; each step damps the
-/// high modes of x, leaving the near-null component (cannot reuse MrSolver
-/// since b = 0 is its trivial-solution early-out).  `r` and `mr` are caller
+/// The shared MR relaxation core on M x = 0: each sweep damps the high modes
+/// of x, leaving the near-null component (cannot reuse MrSolver since b = 0
+/// is its trivial-solution early-out).  Like MrSolver, the residual
+/// r = -M x is formed once and then updated recursively, so a sweep costs
+/// one operator apply (iters + 1 applies in all).  `r` and `mr` are caller
 /// scratch so a sweep over many vectors allocates them once.
 template <typename T>
 void mr_relax_homogeneous(const LinearOperator<T>& op, ColorSpinorField<T>& x,
                           ColorSpinorField<T>& r, ColorSpinorField<T>& mr,
                           int iters, T omega) {
+  if (iters <= 0) return;
+  op.apply(r, x);
+  blas::scale(T(-1), r);
   for (int it = 0; it < iters; ++it) {
-    op.apply(r, x);
-    blas::scale(T(-1), r);
     op.apply(mr, r);
     const double mr2 = blas::norm2(mr);
     if (mr2 == 0.0) break;
@@ -27,6 +30,7 @@ void mr_relax_homogeneous(const LinearOperator<T>& op, ColorSpinorField<T>& x,
     const Complex<T> alpha(static_cast<T>(a.re / mr2),
                            static_cast<T>(a.im / mr2));
     blas::caxpy(alpha * omega, r, x);
+    blas::caxpy(-(alpha * omega), mr, r);
   }
 }
 

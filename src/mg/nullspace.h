@@ -29,7 +29,8 @@ struct NullSpaceParams {
 
 /// Generate `params.nvec` near-null vectors of `op` by MR relaxation on the
 /// homogeneous system.  Vectors are normalized but not block-orthonormalized
-/// (the Transfer does that).
+/// (the Transfer does that).  Relax costs `params.iters` + 1 operator
+/// applies per vector: one for the starting residual, one per sweep.
 template <typename T>
 std::vector<ColorSpinorField<T>> generate_null_vectors(
     const LinearOperator<T>& op, const NullSpaceParams& params);
@@ -40,7 +41,7 @@ std::vector<ColorSpinorField<T>> generate_null_vectors(
 /// configuration correlated with the one the vectors were generated on,
 /// they are already near-null up to the configuration drift, so a handful
 /// of sweeps re-adapts them at a fraction of the from-scratch cost.
-/// Vectors are re-normalized.
+/// Vectors are re-normalized.  Costs `iters` + 1 applies per vector.
 template <typename T>
 void relax_null_vectors(const LinearOperator<T>& op,
                         std::vector<ColorSpinorField<T>>& vecs, int iters,

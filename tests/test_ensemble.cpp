@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "core/qmg.h"
+#include "parallel/autotune.h"
 
 namespace {
 
@@ -311,6 +312,51 @@ TEST(HierarchyRefreshTest, RefreshedHierarchyRunsDistributedCoarseLevels) {
   EXPECT_GT(drep.comm.messages, 0);
   // The distributed cycle is bit-identical to the replicated one — the
   // refresh must not break that contract (same stencils, same iterates).
+  EXPECT_EQ(drep.result().iterations, rep.result().iterations);
+  for (long i = 0; i < x_rep.size(); ++i) {
+    ASSERT_EQ(x_rep.data()[i].re, x_dist.data()[i].re) << "element " << i;
+    ASSERT_EQ(x_rep.data()[i].im, x_dist.data()[i].im) << "element " << i;
+  }
+}
+
+TEST(HierarchyRefreshTest, DistributedCoarseLevelsReplayTunedConfig) {
+  // The replicated coarse apply runs whatever the TuneCache holds for its
+  // shape; the distributed adapters must resolve the same config.  A
+  // non-default reduction tree stored under the replicated shape's key
+  // (what a tuning sweep under load may pick) must leave the replicated
+  // and nranks=2 solves bit-identical.
+  auto options = small_options();
+  QmgContext ctx(options);
+  ctx.setup_multigrid(small_mg());
+  const CoarseKernelConfig tuned{Strategy::DotProduct, 3, 4, 2};
+  LaunchPolicy serial;
+  serial.backend = Backend::Serial;
+  auto& cache = TuneCache::instance();
+  for (int l = 0; l + 1 < ctx.multigrid().num_levels(); ++l) {
+    const auto& cop = ctx.multigrid().coarse_op(l);
+    const std::string key = coarse_tune_key(
+        cop.geometry()->volume(), cop.block_dim(), cop.precision_tag());
+    cache.store(key, tuned);
+    cache.store_launch(key, serial);
+    EXPECT_EQ(cop.resolve_kernel().first.to_string(), tuned.to_string());
+    EXPECT_EQ(cop.resolve_kernel(1).first.to_string(), tuned.to_string());
+  }
+
+  auto b = ctx.create_vector();
+  b.gaussian(45);
+  SolveSpec replicated;
+  replicated.tol = kTol;
+  replicated.eo = false;
+  auto x_rep = ctx.create_vector();
+  const auto rep = ctx.solve(x_rep, b, replicated);
+  ASSERT_TRUE(rep.all_converged());
+
+  SolveSpec dist = replicated;
+  dist.nranks = 2;
+  auto x_dist = ctx.create_vector();
+  const auto drep = ctx.solve(x_dist, b, dist);
+  ASSERT_TRUE(drep.all_converged());
+  EXPECT_GT(drep.coarse_comm.messages, 0);
   EXPECT_EQ(drep.result().iterations, rep.result().iterations);
   for (long i = 0; i < x_rep.size(); ++i) {
     ASSERT_EQ(x_rep.data()[i].re, x_dist.data()[i].re) << "element " << i;

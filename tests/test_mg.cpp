@@ -1,6 +1,7 @@
 // Multigrid tests: transfer-operator identities, Galerkin consistency,
 // coarse-operator properties (gamma5-Hermiticity, Schur equivalence),
-// recursive coarsening, and end-to-end K-cycle convergence.
+// recursive coarsening, and end-to-end K-cycle convergence.  Null-vector
+// relaxation: one operator apply per sweep, against a two-apply reference.
 
 #include <gtest/gtest.h>
 
@@ -41,6 +42,72 @@ struct MgFixture {
     map = std::make_shared<const BlockMap>(geom, block);
     transfer = std::make_unique<Transfer<double>>(map, 4, 3, nvec);
     transfer->set_null_vectors(vecs);
+  }
+};
+
+/// Relative gap |Mhat v - P^dag M P v| / |Mhat v| for a random coarse v:
+/// the Galerkin identity Mhat = P^dag M P checked through one apply each.
+double triple_product_gap(const LinearOperator<double>& fine,
+                          const Transfer<double>& transfer,
+                          const CoarseDirac<double>& coarse) {
+  auto v = transfer.create_coarse_vector();
+  v.gaussian(5);
+  auto mv = coarse.create_vector();
+  coarse.apply(mv, v);
+  auto pv = transfer.create_fine_vector();
+  transfer.prolongate(pv, v);
+  auto mpv = fine.create_vector();
+  fine.apply(mpv, pv);
+  auto rmpv = transfer.create_coarse_vector();
+  transfer.restrict_to_coarse(rmpv, mpv);
+  blas::axpy(-1.0, mv, rmpv);
+  return std::sqrt(blas::norm2(rmpv) / blas::norm2(mv));
+}
+
+/// Every backward link is bit-for-bit Gamma5 Yfwd^dag Gamma5 of its coarse
+/// neighbour's forward link; in a coarse extent-1 direction both links are
+/// zero (every hop folded into the diagonal).
+void expect_backward_links_exact(const CoarseDirac<double>& coarse) {
+  const auto& cgeom = *coarse.geometry();
+  const int n = coarse.block_dim();
+  const int nc = coarse.ncolor();
+  for (long x = 0; x < cgeom.volume(); ++x)
+    for (int mu = 0; mu < 4; ++mu) {
+      const long xm = cgeom.neighbor_bwd(x, mu);
+      for (int r = 0; r < n; ++r)
+        for (int c = 0; c < n; ++c) {
+          const complexd got = coarse.link_elem(x, 2 * mu + 1, r, c);
+          const complexd fwd = coarse.link_elem(xm, 2 * mu, c, r);
+          if (xm == x) {
+            ASSERT_EQ(norm2(got), 0.0) << "site " << x << " mu " << mu;
+            ASSERT_EQ(norm2(fwd), 0.0) << "site " << x << " mu " << mu;
+            continue;
+          }
+          const complexd expect =
+              (r / nc) == (c / nc) ? conj(fwd) : -conj(fwd);
+          ASSERT_EQ(got.re, expect.re) << x << " " << mu << " " << r << c;
+          ASSERT_EQ(got.im, expect.im) << x << " " << mu << " " << r << c;
+        }
+    }
+}
+
+/// A second Galerkin level on top of `level1` (coarse-on-coarse through
+/// CoarseStencilView) with `block` aggregates and 3 null vectors.
+struct CoarseOnCoarse {
+  std::unique_ptr<Transfer<double>> transfer;
+  std::unique_ptr<CoarseDirac<double>> op;
+
+  CoarseOnCoarse(const CoarseDirac<double>& level1, Coord block) {
+    NullSpaceParams ns;
+    ns.nvec = 3;
+    ns.iters = 20;
+    auto vecs = generate_null_vectors(level1, ns);
+    auto map = std::make_shared<const BlockMap>(level1.geometry(), block);
+    transfer = std::make_unique<Transfer<double>>(map, 2, level1.ncolor(), 3);
+    transfer->set_null_vectors(vecs);
+    const CoarseStencilView<double> view(level1);
+    op = std::make_unique<CoarseDirac<double>>(
+        build_coarse_operator(view, *transfer));
   }
 };
 
@@ -194,6 +261,49 @@ TEST(Galerkin, BackwardLinksAreGamma5ConjugateOfForward) {
           ASSERT_NEAR(got.im, expect.im, 1e-10);
         }
     }
+}
+
+TEST(Galerkin, CoarseOperatorMatchesTripleProductOnCoarseGrid) {
+  // Coarse-on-coarse: the 4x2x2x2 level-1 grid with 2x1x1x1 aggregates
+  // gives a 2^4 level-2 grid — aggregate-internal hops in direction 0,
+  // boundary-crossing hops (derived backward links) in every direction.
+  MgFixture f(4, 0.2, 0.4, Coord{8, 4, 4, 4}, Coord{2, 2, 2, 2});
+  const WilsonStencilView<double> view(*f.op);
+  const CoarseDirac<double> level1 = build_coarse_operator(view, *f.transfer);
+  const CoarseOnCoarse level2(level1, Coord{2, 1, 1, 1});
+  EXPECT_EQ(level2.op->geometry()->volume(), 16);
+  EXPECT_LT(triple_product_gap(level1, *level2.transfer, *level2.op), 1e-10);
+  expect_backward_links_exact(*level2.op);
+}
+
+TEST(Galerkin, UnitCoarseExtentFoldsHopsIntoDiagonal) {
+  // 4x2x2x2 aggregates on a 4^4 lattice: coarse extent 1 in direction 0,
+  // so every direction-0 hop (forward and backward, including the
+  // wrap-around) stays inside its aggregate and lands in X.
+  MgFixture f(4, 0.1, 0.4, Coord{4, 4, 4, 4}, Coord{4, 2, 2, 2});
+  const WilsonStencilView<double> view(*f.op);
+  const CoarseDirac<double> coarse = build_coarse_operator(view, *f.transfer);
+  EXPECT_EQ(coarse.geometry()->dims()[0], 1);
+  EXPECT_LT(triple_product_gap(*f.op, *f.transfer, coarse), 1e-10);
+  expect_backward_links_exact(coarse);
+
+  // The same on a coarse-on-coarse build: 2x2x2x2 aggregates of a
+  // 4x2x2x2 level-1 grid leave extent 1 in directions 1-3.
+  MgFixture g(4, 0.2, 0.4, Coord{8, 4, 4, 4}, Coord{2, 2, 2, 2});
+  const WilsonStencilView<double> gview(*g.op);
+  const CoarseDirac<double> level1 = build_coarse_operator(gview, *g.transfer);
+  const CoarseOnCoarse level2(level1, Coord{2, 2, 2, 2});
+  EXPECT_EQ(level2.op->geometry()->volume(), 2);
+  EXPECT_LT(triple_product_gap(level1, *level2.transfer, *level2.op), 1e-10);
+  expect_backward_links_exact(*level2.op);
+}
+
+TEST(Galerkin, BackwardLinksAreExactlyDerivedFromForward) {
+  // The builder copies each backward link from its neighbour's forward
+  // link, so the gamma5 relation holds bit for bit on level 0.
+  MgFixture f;
+  const WilsonStencilView<double> view(*f.op);
+  expect_backward_links_exact(build_coarse_operator(view, *f.transfer));
 }
 
 TEST(CoarseOp, SchurMatchesFullCoarseSolve) {
@@ -447,6 +557,81 @@ TEST(NullSpace, VectorsAreLowModeRich) {
   op.apply(mv, vecs[0]);
   const double rq_null = blas::norm2(mv);
   EXPECT_LT(rq_null, 0.25 * rq_random);
+}
+
+/// The two-apply MR relaxation on M x = 0 (r recomputed as -M x on every
+/// sweep), the reference the one-apply recursion must match to rounding.
+template <typename T>
+void two_apply_relax(const LinearOperator<T>& op, ColorSpinorField<T>& x,
+                     int iters, double omega) {
+  auto r = op.create_vector();
+  auto mr = op.create_vector();
+  for (int it = 0; it < iters; ++it) {
+    op.apply(r, x);
+    blas::scale(T(-1), r);
+    op.apply(mr, r);
+    const double mr2 = blas::norm2(mr);
+    if (mr2 == 0.0) break;
+    const complexd a = blas::cdot(mr, r);
+    const Complex<T> alpha(static_cast<T>(a.re / mr2),
+                           static_cast<T>(a.im / mr2));
+    blas::caxpy(alpha * static_cast<T>(omega), r, x);
+  }
+  blas::scale(static_cast<T>(1.0 / std::sqrt(blas::norm2(x))), x);
+}
+
+template <typename T>
+double rel_diff(const ColorSpinorField<T>& a, const ColorSpinorField<T>& b) {
+  double d2 = 0, b2 = 0;
+  for (long i = 0; i < a.size(); ++i) {
+    const Complex<T> d = a.data()[i] - b.data()[i];
+    d2 += static_cast<double>(norm2(d));
+    b2 += static_cast<double>(norm2(b.data()[i]));
+  }
+  return std::sqrt(d2 / b2);
+}
+
+/// Null-vector relaxation costs iters + 1 applies per vector, from scratch
+/// (generate_null_vectors) and on refresh (relax_null_vectors), and matches
+/// the two-apply reference to rounding.
+template <typename T>
+void check_relaxation(double tol) {
+  auto geom = make_geometry(Coord{4, 4, 4, 4});
+  const auto gauge = disordered_gauge<T>(geom, 0.4, 93);
+  const auto clover = build_clover_with_inverse(gauge, T(1), T(0.05));
+  WilsonCloverOp<T> op(gauge, {.mass = T(0.05), .csw = T(1)}, &clover);
+
+  NullSpaceParams ns;
+  ns.nvec = 3;
+  ns.iters = 6;
+  op.reset_apply_count();
+  const auto vecs = generate_null_vectors(op, ns);
+  EXPECT_EQ(op.apply_count(), ns.nvec * (ns.iters + 1));
+  for (int k = 0; k < ns.nvec; ++k) {
+    auto ref = op.create_vector();
+    ref.gaussian(ns.seed + 1000 * static_cast<std::uint64_t>(k));
+    two_apply_relax(op, ref, ns.iters, ns.omega);
+    EXPECT_LE(rel_diff(vecs[static_cast<size_t>(k)], ref), tol) << k;
+  }
+
+  const int refresh_iters = 4;
+  auto refreshed = vecs;
+  op.reset_apply_count();
+  relax_null_vectors(op, refreshed, refresh_iters, ns.omega);
+  EXPECT_EQ(op.apply_count(), ns.nvec * (refresh_iters + 1));
+  for (int k = 0; k < ns.nvec; ++k) {
+    auto ref = vecs[static_cast<size_t>(k)];
+    two_apply_relax(op, ref, refresh_iters, ns.omega);
+    EXPECT_LE(rel_diff(refreshed[static_cast<size_t>(k)], ref), tol) << k;
+  }
+}
+
+TEST(NullSpace, RelaxationAppliesOncePerSweepDouble) {
+  check_relaxation<double>(1e-12);
+}
+
+TEST(NullSpace, RelaxationAppliesOncePerSweepFloat) {
+  check_relaxation<float>(1e-5);
 }
 
 }  // namespace
