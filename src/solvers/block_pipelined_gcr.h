@@ -149,12 +149,9 @@ class PipelinedBlockGcrSolver {
         dist::BlockPipelineDots dots;
         if (pipeline_) {
           CommWorker& worker = CommWorker::reduction_instance();
-          double combine_seconds = 0;
           worker.submit([&] {
-            Timer t;
             dots = dist::block_pipeline_dots(hist, d, r, comm_,
                                              comm_worker_policy());
-            combine_seconds = t.seconds();
           });
           Timer t_mv;
           try {
@@ -165,9 +162,12 @@ class PipelinedBlockGcrSolver {
           }
           const double matvec_seconds = t_mv.seconds();
           worker.wait();
+          // The hidden share is bounded by the combine time exactly as
+          // metered in allreduce_seconds (a second timer around the job
+          // would read longer and could overstate it).
           if (comm_)
             comm_->allreduce_hidden_seconds +=
-                std::min(combine_seconds, matvec_seconds);
+                std::min(dots.seconds, matvec_seconds);
         } else {
           dots = dist::block_pipeline_dots(hist, d, r, comm_,
                                            comm_worker_policy());
